@@ -1,11 +1,13 @@
 //! Soft bench regression gate for CI.
 //!
-//! Reads the one-shot output of the search or driver benches (the
-//! `cargo test`-mode smoke lines printed by `irlt-harness`'s timing
-//! runner, e.g. `search/matmul/incremental  21.30 ms (one-shot)` or
-//! `driver/corpus64/t4  310 ms (one-shot)`), compares each wall time
-//! against the recorded baseline median for the same workload/engine
-//! (`BENCH_3.json` for `search/`, `BENCH_5.json` for `driver/`), and
+//! Reads the one-shot output of the search, driver or locality benches
+//! (the `cargo test`-mode smoke lines printed by `irlt-harness`'s timing
+//! runner, e.g. `search/matmul/incremental  21.30 ms (one-shot)`,
+//! `driver/corpus64/t4  310 ms (one-shot)` or
+//! `locality/matmul/tiled/4  5.20 ms (one-shot)`), compares each wall
+//! time against the recorded baseline median for the same
+//! workload/engine (`BENCH_3.json` for `search/`, `BENCH_8.json` for
+//! `driver/`, `BENCH_12.json` for `locality/`), and
 //! emits a GitHub Actions `::warning::` annotation when a one-shot time
 //! exceeds the recorded median by more than the tolerance factor
 //! (default 3×, generous because CI runners are noisy and a one-shot is
@@ -17,7 +19,7 @@
 //! fail CI because it means the perf signal silently disappeared.
 //!
 //! ```text
-//! bench_gate <oneshot.txt> <BENCH_3.json> [tolerance]
+//! bench_gate <oneshot.txt> <baseline.json> [tolerance]
 //! ```
 
 use irlt_obs::Json;
@@ -46,8 +48,10 @@ fn parse_duration_ms(num: &str, unit: &str) -> Option<f64> {
     Some(v * scale)
 }
 
-/// Extracts `search/<workload>/<engine>` and `driver/<workload>/<mode>`
-/// one-shot lines from the smoke output; unrelated lines are ignored.
+/// Extracts `<group>/<workload>/<engine>` one-shot lines for the
+/// `search`, `driver` and `locality` groups from the smoke output;
+/// unrelated lines are ignored. The engine is the rest of the name, so
+/// `locality/matmul/tiled/4` is workload `matmul`, engine `tiled/4`.
 fn parse_oneshot_lines(text: &str) -> Vec<OneShot> {
     let mut out = Vec::new();
     for line in text.lines() {
@@ -58,8 +62,10 @@ fn parse_oneshot_lines(text: &str) -> Vec<OneShot> {
         let [name, num, unit] = fields[..] else {
             continue;
         };
-        let parts: Vec<&str> = name.split('/').collect();
-        let [group @ ("search" | "driver"), workload, engine] = parts[..] else {
+        let mut parts = name.splitn(3, '/');
+        let (Some(group @ ("search" | "driver" | "locality")), Some(workload), Some(engine)) =
+            (parts.next(), parts.next(), parts.next())
+        else {
             continue;
         };
         if let Some(ms) = parse_duration_ms(num, unit) {
@@ -187,7 +193,7 @@ fn main() -> ExitCode {
     let (oneshot_path, baseline_path) = match &args[..] {
         [a, b] | [a, b, _] => (a, b),
         _ => {
-            eprintln!("usage: bench_gate <oneshot.txt> <BENCH_3.json> [tolerance]");
+            eprintln!("usage: bench_gate <oneshot.txt> <baseline.json> [tolerance]");
             return ExitCode::from(2);
         }
     };
@@ -225,8 +231,8 @@ fn main() -> ExitCode {
     let oneshots = parse_oneshot_lines(&oneshot_text);
     if oneshots.is_empty() {
         eprintln!(
-            "bench_gate: no `search/*/*` or `driver/*/*` one-shot lines in {oneshot_path} — \
-             did the bench output format change?"
+            "bench_gate: no `search/*/*`, `driver/*/*` or `locality/*/*` one-shot lines in \
+             {oneshot_path} — did the bench output format change?"
         );
         return ExitCode::from(2);
     }
@@ -307,6 +313,42 @@ irlt-harness bench smoke: 9 benchmark(s) executed once, 0 filtered out\n";
         assert_eq!(shots[2].group, "driver");
         assert_eq!(shots[2].workload, "corpus64");
         assert_eq!(shots[2].engine, "t4");
+    }
+
+    #[test]
+    fn locality_rows_gate_against_their_own_baseline() {
+        let text = "\
+locality/matmul/untiled  5.04 ms (one-shot)\n\
+locality/matmul/tiled/4  40.0 ms (one-shot)\n\
+locality/stencil_walk/interchanged  4.64 ms (one-shot)\n";
+        let shots = parse_oneshot_lines(text);
+        assert_eq!(shots.len(), 3);
+        assert_eq!(shots[1].group, "locality");
+        assert_eq!(shots[1].workload, "matmul");
+        assert_eq!(shots[1].engine, "tiled/4");
+        let baseline = Json::parse(
+            r#"{
+              "host": { "cpus": 2 },
+              "workloads": {
+                "matmul": {
+                  "untiled_ms": { "median": 5.0 },
+                  "tiled/4_ms": { "median": 5.2 },
+                  "parent": { "untiled_ms": { "median": 29.9 } }
+                }
+              }
+            }"#,
+        )
+        .unwrap();
+        // The stencil row has no baseline entry and is skipped; the
+        // tiled/4 row breaches 3x its recorded median.
+        let (checked, breaches, info) = check(&shots, &baseline, 3.0, 2).unwrap();
+        assert_eq!(checked, 2);
+        assert_eq!(breaches.len(), 1, "{breaches:?}");
+        assert!(
+            breaches[0].contains("locality/matmul/tiled/4"),
+            "{breaches:?}"
+        );
+        assert!(info.is_empty(), "{info:?}");
     }
 
     #[test]

@@ -138,7 +138,11 @@ impl Cache {
         let set_idx = (line % self.sets.len() as u64) as usize;
         let set = &mut self.sets[set_idx];
         self.stats.accesses += 1;
-        if let Some(pos) = set.iter().position(|&t| t == line) {
+        if set.front() == Some(&line) {
+            // Already most recently used: the LRU order is unchanged.
+            self.stats.hits += 1;
+            true
+        } else if let Some(pos) = set.iter().position(|&t| t == line) {
             set.remove(pos);
             set.push_front(line);
             self.stats.hits += 1;

@@ -1,9 +1,10 @@
 //! Array-to-address mapping.
 //!
 //! Assigns each array a disjoint base address and linearizes subscripts in
-//! row-major (C) or column-major (Fortran) order. Fed with
-//! [`irlt_interp::AccessEvent`]s, it turns a logical trace into a byte
-//! trace for the cache model.
+//! row-major (C) or column-major (Fortran) order, turning logical accesses
+//! into byte addresses for the cache model: one access at a time while a
+//! nest streams them, or a recorded [`irlt_interp::AccessEvent`] trace
+//! through [`AddressMap::drive`].
 
 use irlt_interp::AccessEvent;
 use irlt_ir::Symbol;
@@ -122,41 +123,49 @@ impl AddressMap {
     /// Returns [`AddressError`] for undeclared arrays or out-of-bounds
     /// subscripts.
     pub fn address(&self, array: &Symbol, indices: &[i64]) -> Result<u64, AddressError> {
-        let decl = self.arrays.get(array).ok_or_else(|| AddressError {
-            array: array.clone(),
-            indices: indices.to_vec(),
-        })?;
-        if indices.len() != decl.dims.len() {
-            return Err(AddressError {
+        self.arrays
+            .get(array)
+            .and_then(|decl| self.locate(decl, indices))
+            .ok_or_else(|| AddressError {
                 array: array.clone(),
                 indices: indices.to_vec(),
-            });
+            })
+    }
+
+    /// The byte address of `indices` in `decl`; `None` on a rank mismatch
+    /// or an out-of-bounds subscript.
+    fn locate(&self, decl: &ArrayDecl, indices: &[i64]) -> Option<u64> {
+        if indices.len() != decl.dims.len() {
+            return None;
         }
-        let mut offsets = Vec::with_capacity(indices.len());
-        for (k, &ix) in indices.iter().enumerate() {
-            let off = ix - decl.origin[k];
-            if off < 0 || off as u64 >= decl.dims[k] {
-                return Err(AddressError {
-                    array: array.clone(),
-                    indices: indices.to_vec(),
-                });
-            }
-            offsets.push(off as u64);
-        }
+        let n = indices.len();
         let mut linear = 0u64;
-        match self.order {
-            Order::RowMajor => {
-                for (k, &off) in offsets.iter().enumerate() {
-                    linear = linear * decl.dims[k] + off;
-                }
+        for j in 0..n {
+            let k = match self.order {
+                Order::RowMajor => j,
+                Order::ColMajor => n - 1 - j,
+            };
+            let off = indices[k] - decl.origin[k];
+            if off < 0 || off as u64 >= decl.dims[k] {
+                return None;
             }
-            Order::ColMajor => {
-                for k in (0..offsets.len()).rev() {
-                    linear = linear * decl.dims[k] + offsets[k];
-                }
-            }
+            linear = linear * decl.dims[k] + off as u64;
         }
-        Ok(decl.base + linear * self.elem_bytes)
+        Some(decl.base + linear * self.elem_bytes)
+    }
+
+    /// Binds the map to one run's array table (see
+    /// [`irlt_interp::AccessSink::bind`]): each array's declaration is
+    /// looked up once, so translating an access by array id is a direct
+    /// linearization.
+    pub(crate) fn bind<'m>(&'m self, arrays: &[Symbol]) -> BoundMap<'m> {
+        BoundMap {
+            map: self,
+            arrays: arrays
+                .iter()
+                .map(|a| (a.clone(), self.arrays.get(a)))
+                .collect(),
+        }
     }
 
     /// Translates a whole trace, feeding each address into `sink`.
@@ -173,6 +182,30 @@ impl AddressMap {
             sink(self.address(&e.array, &e.indices)?);
         }
         Ok(())
+    }
+}
+
+/// An [`AddressMap`] resolved against one run's array ids.
+pub(crate) struct BoundMap<'m> {
+    map: &'m AddressMap,
+    arrays: Vec<(Symbol, Option<&'m ArrayDecl>)>,
+}
+
+impl BoundMap<'_> {
+    /// Re-binds the same map to another run's array table.
+    pub(crate) fn rebind(&mut self, arrays: &[Symbol]) {
+        *self = self.map.bind(arrays);
+    }
+
+    /// Translates one access of array `id` to a byte address, as
+    /// [`AddressMap::address`] does for its name.
+    pub(crate) fn address(&self, id: usize, indices: &[i64]) -> Result<u64, AddressError> {
+        let (array, decl) = &self.arrays[id];
+        decl.and_then(|d| self.map.locate(d, indices))
+            .ok_or_else(|| AddressError {
+                array: array.clone(),
+                indices: indices.to_vec(),
+            })
     }
 }
 

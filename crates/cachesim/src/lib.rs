@@ -9,8 +9,9 @@
 //! * [`Cache`] — set-associative LRU with hit/miss counters;
 //! * [`AddressMap`] — array declarations with row-/column-major
 //!   linearization and page-disjoint bases;
-//! * [`simulate_nest`] — execute a nest (via `irlt-interp`), replay its
-//!   access trace against a cache, and report counters;
+//! * [`simulate_nest`] — execute a nest (via `irlt-interp`), feeding each
+//!   access into a cache as it happens (no trace is kept), and report
+//!   counters;
 //! * [`Hierarchy`] — a two-level (L1/L2) inclusive hierarchy with a
 //!   weighted cost model.
 //!

@@ -1,10 +1,11 @@
-//! Trace-driven nest simulation: execute a nest with the interpreter,
-//! translate its access trace to addresses, and replay it against a cache.
+//! Execution-driven nest simulation: run a nest with the interpreter and
+//! send each access, translated to an address, straight into a cache as
+//! it happens. No trace is kept.
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
-use crate::layout::{AddressError, AddressMap};
-use irlt_interp::{ExecError, Executor, Memory, TraceLevel};
-use irlt_ir::LoopNest;
+use crate::layout::{AddressError, AddressMap, BoundMap};
+use irlt_interp::{AccessSink, ExecError, Executor, Memory};
+use irlt_ir::{LoopNest, Symbol};
 use std::fmt;
 
 /// A failure while simulating a nest.
@@ -42,7 +43,7 @@ impl From<AddressError> for SimError {
 /// Result of [`simulate_nest`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimResult {
-    /// Cache counters after replaying the whole trace.
+    /// Cache counters after every access of the run.
     pub stats: CacheStats,
     /// Innermost iterations executed.
     pub iterations: usize,
@@ -54,12 +55,18 @@ impl fmt::Display for SimResult {
     }
 }
 
-/// Executes `nest` with the given parameters and replays its memory trace
-/// against a fresh cache of the given geometry.
+/// Executes `nest` with the given parameters, feeding every access into a
+/// fresh cache of the given geometry as it happens.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] on execution or addressing failures.
+/// Returns [`SimError::Exec`] if the run fails; otherwise
+/// [`SimError::Address`] for the first access, in program order, outside
+/// the declared arrays.
+///
+/// # Panics
+///
+/// Panics on inconsistent cache geometry (see [`CacheConfig::num_sets`]).
 ///
 /// # Examples
 ///
@@ -86,16 +93,46 @@ pub fn simulate_nest(
     for &(k, v) in params {
         ex.set_param(k, v);
     }
-    ex.trace(TraceLevel::Accesses);
-    let run = ex.run(nest, Memory::new())?;
-    let mut cache = Cache::new(config);
-    map.drive(&run.trace, |addr| {
-        cache.access(addr);
-    })?;
+    let mut sink = CacheSink {
+        bound: map.bind(&[]),
+        cache: Cache::new(config),
+        error: None,
+    };
+    let run = ex.stream(nest, Memory::new(), &mut sink)?;
+    if let Some(e) = sink.error {
+        return Err(e.into());
+    }
     Ok(SimResult {
-        stats: cache.stats(),
+        stats: sink.cache.stats(),
         iterations: run.iterations,
     })
+}
+
+/// Translates each access and feeds it to the cache. The first address
+/// error stops the feeding and is kept: it is the result only if the run
+/// then completes, since a failed run reports its own error.
+struct CacheSink<'m> {
+    bound: BoundMap<'m>,
+    cache: Cache,
+    error: Option<AddressError>,
+}
+
+impl AccessSink for CacheSink<'_> {
+    fn bind(&mut self, arrays: &[Symbol]) {
+        self.bound.rebind(arrays);
+    }
+
+    fn access(&mut self, array: usize, indices: &[i64], _is_write: bool) {
+        if self.error.is_some() {
+            return;
+        }
+        match self.bound.address(array, indices) {
+            Ok(addr) => {
+                self.cache.access(addr);
+            }
+            Err(e) => self.error = Some(e),
+        }
+    }
 }
 
 /// [`simulate_nest`] fed by the observability layer: on success the cache

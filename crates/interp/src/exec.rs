@@ -1,14 +1,17 @@
 //! The loop-nest interpreter.
 //!
 //! Executes a [`LoopNest`] over concrete parameter values and a [`Memory`],
-//! producing the final memory plus (optionally) an execution trace of
-//! iterations and memory accesses. `pardo` loops may be driven in forward,
+//! producing the final memory. Each run compiles the nest once into a
+//! slot-resolved program (see `program.rs`) and sends every memory access
+//! to a sink: nowhere, the trace collector of [`TraceLevel::Accesses`], or
+//! a caller's [`AccessSink`]. `pardo` loops may be driven in forward,
 //! reverse, or deterministically-shuffled order — a transformed program is
 //! only correct if *any* such order yields the same result, which is
 //! exactly what the differential tests exploit.
 
-use crate::memory::Memory;
-use irlt_ir::{EvalError, Expr, LoopNest, Stmt, Symbol, Target};
+use crate::memory::{InitPolicy, Memory, WorkingStore};
+use crate::program::{Callee, Code, Op, Program};
+use irlt_ir::{EvalError, LoopNest, Symbol};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -35,8 +38,54 @@ pub enum TraceLevel {
     /// Record nothing (fastest).
     #[default]
     None,
-    /// Record one event per *memory access*.
+    /// Record one event per *memory access*: the trace-collecting sink.
     Accesses,
+}
+
+/// A consumer of a run's memory accesses, fed in program order by
+/// [`Executor::stream`] as each access happens — nothing is buffered.
+///
+/// # Examples
+///
+/// ```
+/// use irlt_interp::{AccessSink, Executor, Memory};
+/// use irlt_ir::{parse_nest, Symbol};
+///
+/// /// Counts writes per array.
+/// #[derive(Default)]
+/// struct Writes(Vec<(Symbol, usize)>);
+///
+/// impl AccessSink for Writes {
+///     fn bind(&mut self, arrays: &[Symbol]) {
+///         self.0 = arrays.iter().map(|a| (a.clone(), 0)).collect();
+///     }
+///     fn access(&mut self, array: usize, _indices: &[i64], is_write: bool) {
+///         self.0[array].1 += usize::from(is_write);
+///     }
+/// }
+///
+/// let nest = parse_nest("do i = 1, 4\n  a(i) = b(i)\nenddo")?;
+/// let mut writes = Writes::default();
+/// Executor::new().stream(&nest, Memory::new(), &mut writes)?;
+/// writes.0.sort();
+/// assert_eq!(writes.0, vec![("a".into(), 4), ("b".into(), 0)]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub trait AccessSink {
+    /// Called once, before the first access, with the run's array table:
+    /// the `array` id passed to [`AccessSink::access`] indexes it.
+    fn bind(&mut self, arrays: &[Symbol]) {
+        let _ = arrays;
+    }
+
+    /// One access: the array's id, its evaluated subscripts, and whether
+    /// it writes.
+    fn access(&mut self, array: usize, indices: &[i64], is_write: bool);
+}
+
+/// The sink that discards every access.
+impl AccessSink for () {
+    fn access(&mut self, _array: usize, _indices: &[i64], _is_write: bool) {}
 }
 
 /// One recorded memory access.
@@ -182,40 +231,102 @@ impl Executor {
         self
     }
 
-    /// Sets the iteration safety cap.
+    /// Sets the iteration safety cap: the most loop iterations a run may
+    /// execute, counted at every level of the nest (an outer loop whose
+    /// inner loops are empty still spends the budget).
     pub fn max_iterations(&mut self, cap: usize) -> &mut Executor {
         self.max_iterations = cap;
         self
     }
 
-    /// Runs a nest to completion.
+    /// Runs a nest to completion. With [`TraceLevel::Accesses`] every
+    /// access is recorded into [`ExecResult::trace`].
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] on unbound parameters, zero steps, arithmetic
     /// faults, or when the iteration cap is exceeded.
     pub fn run(&self, nest: &LoopNest, memory: Memory) -> Result<ExecResult, ExecError> {
-        let observed = self.observe.clone().unwrap_or_else(|| nest.index_vars());
-        let mut state = RunState {
-            scalars: self.params.clone(),
-            functions: self.functions.clone(),
-            ordinals: BTreeMap::new(),
+        match self.trace_level {
+            TraceLevel::None => self.stream(nest, memory, &mut ()),
+            TraceLevel::Accesses => {
+                let prog = self.compile(nest);
+                let tracer = Tracer {
+                    prog: &prog,
+                    ordinals: self.observe_ordinals,
+                    events: Vec::new(),
+                };
+                let (memory, iterations, tracer) = self.execute(&prog, memory, tracer)?;
+                Ok(ExecResult {
+                    memory,
+                    trace: tracer.events,
+                    iterations,
+                })
+            }
+        }
+    }
+
+    /// Runs a nest to completion, handing every access to `sink` as it
+    /// happens instead of recording a trace: [`ExecResult::trace`] stays
+    /// empty whatever the [`TraceLevel`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Executor::run`]. Accesses before the failure have already
+    /// reached the sink.
+    pub fn stream<S: AccessSink + ?Sized>(
+        &self,
+        nest: &LoopNest,
+        memory: Memory,
+        sink: &mut S,
+    ) -> Result<ExecResult, ExecError> {
+        let prog = self.compile(nest);
+        sink.bind(&prog.arrays);
+        let (memory, iterations, _) = self.execute(&prog, memory, Stream(sink))?;
+        Ok(ExecResult {
             memory,
             trace: Vec::new(),
-            time: 0,
-            iterations: 0,
-            cap: self.max_iterations,
-            trace_level: self.trace_level,
-            pardo_order: self.pardo_order,
-            observed,
-            observe_ordinals: self.observe_ordinals,
-        };
-        state.run_level(nest, 0)?;
-        Ok(ExecResult {
-            memory: state.memory,
-            trace: state.trace,
-            iterations: state.iterations,
+            iterations,
         })
+    }
+
+    fn compile(&self, nest: &LoopNest) -> Program {
+        let observe = self.observe.clone().unwrap_or_else(|| nest.index_vars());
+        Program::compile(nest, &self.functions, &observe)
+    }
+
+    /// Runs a compiled nest over `memory`; returns the final memory, the
+    /// innermost iteration count and the sink.
+    fn execute<K: Sink>(
+        &self,
+        prog: &Program,
+        mut memory: Memory,
+        sink: K,
+    ) -> Result<(Memory, usize, K), ExecError> {
+        let mut state = RunState {
+            prog,
+            frame: Frame {
+                values: prog.initial_values(&self.params),
+                ordinals: vec![None; prog.names.len()],
+            },
+            policy: memory.policy(),
+            stores: prog
+                .arrays
+                .iter()
+                .map(|a| WorkingStore::new(memory.take_store(a)))
+                .collect(),
+            stack: Vec::new(),
+            sink,
+            iterations: 0,
+            steps: 0,
+            cap: self.max_iterations,
+            pardo_order: self.pardo_order,
+        };
+        state.run_level(0).map_err(|e| *e)?;
+        for (name, store) in prog.arrays.iter().zip(state.stores) {
+            memory.put_store(name.clone(), store.finish());
+        }
+        Ok((memory, state.iterations, state.sink))
     }
 }
 
@@ -268,227 +379,267 @@ impl From<EvalError> for ExecError {
     }
 }
 
-struct RunState {
-    scalars: BTreeMap<Symbol, i64>,
-    functions: BTreeMap<Symbol, UserFn>,
-    /// Iteration ordinal of each currently-active loop variable.
-    ordinals: BTreeMap<Symbol, i64>,
-    memory: Memory,
-    trace: Vec<AccessEvent>,
-    time: usize,
-    iterations: usize,
-    cap: usize,
-    trace_level: TraceLevel,
-    pardo_order: PardoOrder,
-    observed: Vec<Symbol>,
-    observe_ordinals: bool,
+/// The live state a sink can observe at an access.
+struct Frame {
+    /// Current value of every slot; `None` while unbound.
+    values: Vec<Option<i64>>,
+    /// Iteration ordinal of every slot that is an active loop variable.
+    ordinals: Vec<Option<i64>>,
 }
 
-impl RunState {
-    fn run_level(&mut self, nest: &LoopNest, level: usize) -> Result<(), ExecError> {
-        if level == nest.depth() {
+/// Where the interpreter sends each access.
+trait Sink {
+    fn access(&mut self, frame: &Frame, array: usize, indices: &[i64], is_write: bool);
+}
+
+/// A caller's [`AccessSink`], which sees only the access itself.
+struct Stream<'s, S: ?Sized>(&'s mut S);
+
+impl<S: AccessSink + ?Sized> Sink for Stream<'_, S> {
+    fn access(&mut self, _frame: &Frame, array: usize, indices: &[i64], is_write: bool) {
+        self.0.access(array, indices, is_write);
+    }
+}
+
+/// The trace-collecting sink behind [`TraceLevel::Accesses`].
+struct Tracer<'p> {
+    prog: &'p Program,
+    ordinals: bool,
+    events: Vec<AccessEvent>,
+}
+
+impl Sink for Tracer<'_> {
+    fn access(&mut self, frame: &Frame, array: usize, indices: &[i64], is_write: bool) {
+        let observed = self
+            .prog
+            .observed
+            .iter()
+            .map(|&s| match frame.ordinals[s] {
+                Some(o) if self.ordinals => o,
+                _ => frame.values[s].unwrap_or(i64::MIN),
+            })
+            .collect();
+        self.events.push(AccessEvent {
+            time: self.events.len() + 1,
+            array: self.prog.arrays[array].clone(),
+            indices: indices.to_vec(),
+            is_write,
+            observed,
+        });
+    }
+}
+
+struct RunState<'p, K> {
+    prog: &'p Program,
+    frame: Frame,
+    policy: InitPolicy,
+    /// One store per array id.
+    stores: Vec<WorkingStore>,
+    /// Operand scratch: each access pushes its subscripts and each call
+    /// its arguments, then pops them.
+    stack: Vec<i64>,
+    sink: K,
+    /// Innermost iterations executed.
+    iterations: usize,
+    /// Loop iterations executed at every level, checked against `cap`.
+    steps: usize,
+    cap: usize,
+    pardo_order: PardoOrder,
+}
+
+impl<K: Sink> RunState<'_, K> {
+    fn run_level(&mut self, level: usize) -> Result<(), Fault> {
+        let prog = self.prog;
+        if level == prog.loops.len() {
             self.iterations += 1;
-            if self.iterations > self.cap {
-                return Err(ExecError::TooManyIterations { cap: self.cap });
-            }
-            for stmt in nest.inits().iter().chain(nest.body()) {
-                self.execute(stmt)?;
+            for op in &prog.body {
+                self.execute(op)?;
             }
             return Ok(());
         }
-        let l = nest.level(level);
-        let lo = self.eval_scalar(&l.lower)?;
-        let hi = self.eval_scalar(&l.upper)?;
-        let step = self.eval_scalar(&l.step)?;
+        let l = &prog.loops[level];
+        let lo = self.eval(&l.lower)?;
+        let hi = self.eval(&l.upper)?;
+        let step = self.eval(&l.step)?;
         if step == 0 {
-            return Err(ExecError::ZeroStep { var: l.var.clone() });
+            return Err(fault(ExecError::ZeroStep { var: l.var.clone() }));
         }
-        let mut values: Vec<i64> = Vec::new();
-        let mut x = lo;
-        while (step > 0 && x <= hi) || (step < 0 && x >= hi) {
-            values.push(x);
-            x += step;
-        }
-        if l.kind.is_parallel() {
+        let trips = trip_count(lo, hi, step);
+        if l.parallel && self.pardo_order != PardoOrder::Forward {
+            // A permuted order needs every ordinal up front: refuse before
+            // allocating them if the cap cannot cover the loop.
+            if trips > (self.cap - self.steps) as u128 {
+                return Err(fault(ExecError::TooManyIterations { cap: self.cap }));
+            }
+            let mut ordinals: Vec<i64> = (0..trips as usize).map(|k| k as i64).collect();
             match self.pardo_order {
                 PardoOrder::Forward => {}
-                PardoOrder::Reverse => values.reverse(),
-                PardoOrder::Shuffled(seed) => shuffle(&mut values, seed ^ level as u64),
+                PardoOrder::Reverse => ordinals.reverse(),
+                PardoOrder::Shuffled(seed) => shuffle(&mut ordinals, seed ^ level as u64),
+            }
+            for k in ordinals {
+                self.iterate(level, lo.wrapping_add(k.wrapping_mul(step)), k)?;
+            }
+        } else {
+            let mut x = lo;
+            for k in 0..trips {
+                self.iterate(level, x, k as i64)?;
+                x = x.wrapping_add(step);
             }
         }
-        for v in values {
-            self.scalars.insert(l.var.clone(), v);
-            // The ordinal is order-independent: position of v in the
-            // unshuffled sequence.
-            self.ordinals.insert(l.var.clone(), (v - lo) / step);
-            self.run_level(nest, level + 1)?;
-        }
-        self.scalars.remove(&l.var);
-        self.ordinals.remove(&l.var);
+        self.frame.values[l.slot] = None;
+        self.frame.ordinals[l.slot] = None;
         Ok(())
     }
 
-    fn execute(&mut self, stmt: &Stmt) -> Result<(), ExecError> {
-        match stmt {
-            Stmt::Guarded { cond, then } => {
+    /// Runs iteration `ordinal` (value `v`) of loop `level`.
+    fn iterate(&mut self, level: usize, v: i64, ordinal: i64) -> Result<(), Fault> {
+        self.steps += 1;
+        if self.steps > self.cap {
+            return Err(fault(ExecError::TooManyIterations { cap: self.cap }));
+        }
+        let slot = self.prog.loops[level].slot;
+        self.frame.values[slot] = Some(v);
+        self.frame.ordinals[slot] = Some(ordinal);
+        self.run_level(level + 1)
+    }
+
+    fn execute(&mut self, op: &Op) -> Result<(), Fault> {
+        match op {
+            Op::Guarded(cond, then) => {
                 if self.eval(cond)? != 0 {
                     self.execute(then)?;
                 }
-                Ok(())
             }
-            Stmt::Assign { target, value } => {
+            Op::SetScalar(slot, value) => {
+                self.frame.values[*slot] = Some(self.eval(value)?);
+            }
+            Op::Store(r, value) => {
                 let v = self.eval(value)?;
-                match target {
-                    Target::Scalar(name) => {
-                        self.scalars.insert(name.clone(), v);
-                    }
-                    Target::Array(r) => {
-                        let mut idx = Vec::with_capacity(r.subscripts.len());
-                        for s in &r.subscripts {
-                            idx.push(self.eval(s)?);
-                        }
-                        self.record(&r.array, &idx, true);
-                        self.memory.write(&r.array, &idx, v);
-                    }
-                }
-                Ok(())
+                let base = self.push_all(&r.subscripts)?;
+                let indices = &self.stack[base..];
+                self.sink.access(&self.frame, r.array, indices, true);
+                self.stores[r.array].write(indices, v);
+                self.stack.truncate(base);
             }
         }
+        Ok(())
     }
 
-    /// Full expression evaluation, including array reads.
-    fn eval(&mut self, e: &Expr) -> Result<i64, ExecError> {
-        match e {
-            Expr::ArrayRead(r) => {
-                let mut idx = Vec::with_capacity(r.subscripts.len());
-                for s in &r.subscripts {
-                    idx.push(self.eval(s)?);
+    /// Pushes the values of `codes` in order; returns where they start.
+    fn push_all(&mut self, codes: &[Code]) -> Result<usize, Fault> {
+        let base = self.stack.len();
+        for c in codes {
+            let v = self.eval(c)?;
+            self.stack.push(v);
+        }
+        Ok(base)
+    }
+
+    /// Evaluates compiled code, with the operand order and faults of
+    /// [`irlt_ir::Expr::eval_scalar`].
+    fn eval(&mut self, code: &Code) -> Result<i64, Fault> {
+        Ok(match code {
+            Code::Const(v) => *v,
+            Code::Slot(s) => match self.frame.values[*s] {
+                Some(v) => v,
+                None => {
+                    return Err(fault(EvalError::UnboundVariable(
+                        self.prog.names[*s].clone(),
+                    )))
                 }
-                self.record(&r.array, &idx, false);
-                Ok(self.memory.read(&r.array, &idx))
+            },
+            Code::Add(a, b) => self.eval(a)?.wrapping_add(self.eval(b)?),
+            Code::Sub(a, b) => self.eval(a)?.wrapping_sub(self.eval(b)?),
+            Code::Mul(a, b) => self.eval(a)?.wrapping_mul(self.eval(b)?),
+            Code::Neg(a) => self.eval(a)?.wrapping_neg(),
+            Code::FloorDiv(a, b) => {
+                let d = self.divisor(b)?;
+                irlt_ir::floor_div_i64(self.eval(a)?, d)
             }
-            Expr::Add(a, b) => Ok(self.eval(a)?.wrapping_add(self.eval(b)?)),
-            Expr::Sub(a, b) => Ok(self.eval(a)?.wrapping_sub(self.eval(b)?)),
-            Expr::Mul(a, b) => Ok(self.eval(a)?.wrapping_mul(self.eval(b)?)),
-            Expr::Neg(a) => Ok(self.eval(a)?.wrapping_neg()),
-            Expr::FloorDiv(a, b) => {
-                let d = self.eval(b)?;
-                if d == 0 {
-                    return Err(EvalError::DivisionByZero.into());
-                }
-                Ok(irlt_ir::floor_div_i64(self.eval(a)?, d))
+            Code::CeilDiv(a, b) => {
+                let d = self.divisor(b)?;
+                irlt_ir::ceil_div_i64(self.eval(a)?, d)
             }
-            Expr::CeilDiv(a, b) => {
-                let d = self.eval(b)?;
-                if d == 0 {
-                    return Err(EvalError::DivisionByZero.into());
-                }
-                Ok(irlt_ir::ceil_div_i64(self.eval(a)?, d))
+            Code::Mod(a, b) => {
+                let d = self.divisor(b)?;
+                irlt_ir::mod_floor_i64(self.eval(a)?, d)
             }
-            Expr::Mod(a, b) => {
-                let d = self.eval(b)?;
-                if d == 0 {
-                    return Err(EvalError::DivisionByZero.into());
-                }
-                Ok(irlt_ir::mod_floor_i64(self.eval(a)?, d))
-            }
-            Expr::Min(items) => {
+            Code::Min(items) => {
                 let mut best = i64::MAX;
                 for x in items {
                     best = best.min(self.eval(x)?);
                 }
-                Ok(best)
+                best
             }
-            Expr::Max(items) => {
+            Code::Max(items) => {
                 let mut best = i64::MIN;
                 for x in items {
                     best = best.max(self.eval(x)?);
                 }
-                Ok(best)
+                best
             }
-            Expr::Call(name, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a)?);
-                }
-                self.call(name, &vals)
-                    .ok_or_else(|| EvalError::UnknownFunction(name.clone()).into())
+            Code::Call(callee, args) => self.call(callee, args)?,
+            Code::Read(r) => {
+                let base = self.push_all(&r.subscripts)?;
+                let indices = &self.stack[base..];
+                self.sink.access(&self.frame, r.array, indices, false);
+                let v = self.stores[r.array].read(self.policy, &self.prog.arrays[r.array], indices);
+                self.stack.truncate(base);
+                v
             }
-            // Scalar leaves delegate to the pure evaluator.
-            other => {
-                let scalars = &self.scalars;
-                let functions = &self.functions;
-                other
-                    .eval_scalar(&|s| scalars.get(s).copied(), &|name, args| {
-                        functions
-                            .get(name)
-                            .map(|f| f(args))
-                            .or_else(|| builtin(name, args))
-                    })
-                    .map_err(ExecError::from)
+            Code::BoundRead(array) => {
+                return Err(fault(EvalError::ArrayReadInScalar(array.clone())))
             }
-        }
-    }
-
-    fn call(&self, name: &Symbol, args: &[i64]) -> Option<i64> {
-        self.functions
-            .get(name)
-            .map(|f| f(args))
-            .or_else(|| builtin(name, args))
-    }
-
-    /// Pure scalar evaluation (loop bounds; array reads are IR-invalid
-    /// there and surface as errors).
-    fn eval_scalar(&self, e: &Expr) -> Result<i64, ExecError> {
-        let scalars = &self.scalars;
-        let functions = &self.functions;
-        e.eval_scalar(&|s| scalars.get(s).copied(), &|name, args| {
-            functions
-                .get(name)
-                .map(|f| f(args))
-                .or_else(|| builtin(name, args))
         })
-        .map_err(ExecError::from)
     }
 
-    fn record(&mut self, array: &Symbol, indices: &[i64], is_write: bool) {
-        self.time += 1;
-        if self.trace_level == TraceLevel::Accesses {
-            let observed = self
-                .observed
-                .iter()
-                .map(|v| {
-                    if self.observe_ordinals {
-                        if let Some(&o) = self.ordinals.get(v) {
-                            return o;
-                        }
-                    }
-                    self.scalars.get(v).copied().unwrap_or(i64::MIN)
-                })
-                .collect();
-            self.trace.push(AccessEvent {
-                time: self.time,
-                array: array.clone(),
-                indices: indices.to_vec(),
-                is_write,
-                observed,
-            });
+    /// Evaluates a divisor, faulting on zero before the dividend runs.
+    fn divisor(&mut self, code: &Code) -> Result<i64, Fault> {
+        match self.eval(code)? {
+            0 => Err(fault(EvalError::DivisionByZero)),
+            d => Ok(d),
         }
     }
-}
 
-/// Built-in opaque functions: `abs`, `sgn`, `sqrt` (integer square root of
-/// the absolute value — matches the paper's `sqrt(i)/2` bound usage), and
-/// `idx`-style helpers are *not* built in (they are arrays).
-fn builtin(name: &Symbol, args: &[i64]) -> Option<i64> {
-    match (name.as_str(), args) {
-        ("abs", [x]) => Some(x.abs()),
-        ("sgn", [x]) => Some(x.signum()),
-        ("sqrt", [x]) => Some(isqrt(x.unsigned_abs())),
-        _ => None,
+    /// Evaluates the arguments in order, then applies the callee.
+    fn call(&mut self, callee: &Callee, args: &[Code]) -> Result<i64, Fault> {
+        let base = self.push_all(args)?;
+        let vals = &self.stack[base..];
+        let v = match callee {
+            Callee::User(f) => f(vals),
+            Callee::Abs => vals[0].abs(),
+            Callee::Sgn => vals[0].signum(),
+            Callee::Sqrt => isqrt(vals[0].unsigned_abs()),
+            Callee::Unknown(name) => return Err(fault(EvalError::UnknownFunction(name.clone()))),
+        };
+        self.stack.truncate(base);
+        Ok(v)
     }
 }
 
+/// A run failure, boxed so that the interpreter's `Result`s stay two
+/// words wide on the hot path.
+type Fault = Box<ExecError>;
+
+fn fault(e: impl Into<ExecError>) -> Fault {
+    Box::new(e.into())
+}
+
+/// Number of values `lo, lo + step, …` that do not pass `hi`, exact for
+/// any `i64` bounds.
+fn trip_count(lo: i64, hi: i64, step: i64) -> u128 {
+    let (lo, hi, step) = (i128::from(lo), i128::from(hi), i128::from(step));
+    let span = if step > 0 { hi - lo } else { lo - hi };
+    if span < 0 {
+        0
+    } else {
+        (span / step.abs()) as u128 + 1
+    }
+}
+
+/// Integer square root of the absolute value — the built-in `sqrt`,
+/// matching the paper's `sqrt(i)/2` bound usage.
 fn isqrt(x: u64) -> i64 {
     let mut r = (x as f64).sqrt() as u64;
     while (r + 1) * (r + 1) <= x {
@@ -518,7 +669,7 @@ fn shuffle(values: &mut [i64], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irlt_ir::parse_nest;
+    use irlt_ir::{parse_nest, LoopNest};
 
     fn run(src: &str, params: &[(&str, i64)]) -> ExecResult {
         let nest = parse_nest(src).unwrap();
@@ -601,6 +752,69 @@ mod tests {
     }
 
     #[test]
+    fn name_errors_stay_lazy_as_in_eval_scalar() {
+        use irlt_ir::Parser;
+        let run = |src: &str| {
+            let nest = Parser::new(src)
+                .with_function("f")
+                .with_function("abs")
+                .parse_nest()
+                .unwrap();
+            Executor::new().run(&nest, Memory::new())
+        };
+        // Code that never runs never faults: an unknown function behind
+        // a false guard, an unbound scalar in a loop that runs zero times.
+        assert!(run("do i = 1, 3\n if (0) a(i) = f(i)\nenddo").is_ok());
+        assert!(run("do i = 1, 0\n a(i) = t\nenddo").is_ok());
+        // A body scalar is visible from its assignment on, across
+        // iterations; a built-in with the wrong arity is unknown.
+        let r = run("do i = 1, 3\n if (i - 1) a(i) = t\n t = 10 * i\nenddo").unwrap();
+        assert_eq!(r.memory.get(&"a".into(), &[3]), Some(20));
+        let unknown = |name: &str| ExecError::Eval(EvalError::UnknownFunction(Symbol::new(name)));
+        assert_eq!(
+            run("do i = 1, 3\n a(i) = abs(i, 2)\nenddo").unwrap_err(),
+            unknown("abs")
+        );
+        // Arguments are evaluated (and can fault) before the callee is
+        // resolved, exactly as `Expr::eval_scalar` orders them.
+        assert_eq!(
+            run("do i = 1, 3\n a(i) = f(i / (i - 1))\nenddo").unwrap_err(),
+            ExecError::Eval(EvalError::DivisionByZero)
+        );
+        assert_eq!(
+            run("do i = 1, 3\n a(i) = f(i)\nenddo").unwrap_err(),
+            unknown("f")
+        );
+        // A loop variable is unbound again once its loop is done.
+        assert_eq!(
+            run("do i = 1, 2\n do j = 1, i\n  a(j) = 0\n enddo\nenddo")
+                .unwrap()
+                .iterations,
+            3
+        );
+        let nest = parse_nest("do i = 1, 2\n do j = 1, n\n  a(j) = 0\n enddo\nenddo").unwrap();
+        let mut ex = Executor::new();
+        ex.set_param("n", 2);
+        assert_eq!(ex.run(&nest, Memory::new()).unwrap().iterations, 4);
+    }
+
+    #[test]
+    fn array_reads_in_bounds_fault() {
+        use irlt_ir::{Expr, Loop, Stmt};
+        let bound = Expr::read("idx", vec![Expr::int(1)]);
+        let nest = LoopNest::new(
+            vec![Loop::new("i", Expr::int(1), bound)],
+            vec![Stmt::array("a", vec![Expr::var("i")], Expr::int(0))],
+        );
+        let mut m = Memory::new();
+        m.set("idx", &[1], 4);
+        assert_eq!(
+            Executor::new().run(&nest, m).unwrap_err(),
+            ExecError::Eval(EvalError::ArrayReadInScalar(Symbol::new("idx")))
+        );
+    }
+
+    #[test]
     fn unbound_parameter_reported() {
         let nest = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
         let err = Executor::new().run(&nest, Memory::new()).unwrap_err();
@@ -629,6 +843,103 @@ mod tests {
             ex.run(&nest, Memory::new()).unwrap_err(),
             ExecError::TooManyIterations { cap: 10 }
         );
+    }
+
+    #[test]
+    fn iteration_cap_counts_outer_loops_with_empty_inner_loops() {
+        // No innermost iteration ever runs, but the outer loop alone
+        // would take 10^8 steps: the cap must fire after 1001 of them.
+        let nest = parse_nest("do i = 1, n\n do j = 1, 0\n  a(i, j) = 0\n enddo\nenddo").unwrap();
+        let mut ex = Executor::new();
+        ex.set_param("n", 100_000_000).max_iterations(1000);
+        assert_eq!(
+            ex.run(&nest, Memory::new()).unwrap_err(),
+            ExecError::TooManyIterations { cap: 1000 }
+        );
+        // Outer and inner iterations share one budget: 10 + 10·10 = 110.
+        let nest = parse_nest("do i = 1, 10\n do j = 1, 10\n  a(i, j) = 0\n enddo\nenddo").unwrap();
+        let mut ex = Executor::new();
+        ex.max_iterations(110);
+        assert_eq!(ex.run(&nest, Memory::new()).unwrap().iterations, 100);
+        ex.max_iterations(109);
+        assert_eq!(
+            ex.run(&nest, Memory::new()).unwrap_err(),
+            ExecError::TooManyIterations { cap: 109 }
+        );
+    }
+
+    #[test]
+    fn huge_loops_hit_the_cap_without_materializing_their_values() {
+        // 10^12 iterations would need 8 TB as a value vector; every order
+        // must refuse at the cap without allocating one.
+        for src in [
+            "do i = 1, n\n a(i) = 0\nenddo",
+            "pardo i = 1, n\n a(i) = 0\nenddo",
+            "pardo i = n, 1, -1\n a(i) = 0\nenddo",
+        ] {
+            let nest = parse_nest(src).unwrap();
+            for order in [
+                PardoOrder::Forward,
+                PardoOrder::Reverse,
+                PardoOrder::Shuffled(7),
+            ] {
+                let mut ex = Executor::new();
+                ex.set_param("n", 1_000_000_000_000)
+                    .max_iterations(1000)
+                    .pardo_order(order);
+                let started = std::time::Instant::now();
+                assert_eq!(
+                    ex.run(&nest, Memory::new()).unwrap_err(),
+                    ExecError::TooManyIterations { cap: 1000 },
+                    "{src} under {order:?}"
+                );
+                assert!(started.elapsed().as_secs() < 5, "{src} under {order:?}");
+            }
+        }
+        // Extreme bounds: the trip count of i64::MIN..=i64::MAX overflows
+        // i64 and u64, and must still be compared without wrapping.
+        let nest = parse_nest("pardo i = lo, hi\n a(0) = 0\nenddo").unwrap();
+        let mut ex = Executor::new();
+        ex.set_param("lo", i64::MIN)
+            .set_param("hi", i64::MAX)
+            .max_iterations(5)
+            .pardo_order(PardoOrder::Reverse);
+        assert_eq!(
+            ex.run(&nest, Memory::new()).unwrap_err(),
+            ExecError::TooManyIterations { cap: 5 }
+        );
+        assert_eq!(trip_count(i64::MIN, i64::MAX, 1), 1u128 << 64);
+        assert_eq!(
+            trip_count(i64::MAX, i64::MIN, -3),
+            ((1u128 << 64) - 1) / 3 + 1
+        );
+        assert_eq!(trip_count(5, 1, 1), 0);
+        assert_eq!(trip_count(10, 1, -3), 4);
+    }
+
+    #[test]
+    fn shuffled_pardo_keeps_values_and_ordinals_paired() {
+        // The permuted order visits every value once, and each access
+        // observes the ordinal of its own value, `(v - lo) / step`.
+        let nest = parse_nest("pardo i = 3, 21, 3\n a(i) = i\nenddo").unwrap();
+        let mut ex = Executor::new();
+        ex.pardo_order(PardoOrder::Shuffled(5))
+            .trace(TraceLevel::Accesses)
+            .observe_iteration_numbers();
+        let r = ex.run(&nest, Memory::new()).unwrap();
+        let mut seen: Vec<(i64, i64)> = r
+            .trace
+            .iter()
+            .map(|e| (e.indices[0], e.observed[0]))
+            .collect();
+        assert_ne!(
+            seen.windows(2).filter(|w| w[0] < w[1]).count(),
+            6,
+            "not shuffled"
+        );
+        seen.sort_unstable();
+        let expected: Vec<(i64, i64)> = (0..7).map(|k| (3 + 3 * k, k)).collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! 3.4), code-generation correctness — are all *checkable by running
 //! loops*; this crate runs them:
 //!
-//! * [`Executor`] — interprets a [`irlt_ir::LoopNest`] over concrete
-//!   parameters and a sparse [`Memory`], with configurable `pardo`
-//!   iteration orders ([`PardoOrder`]) and access tracing;
+//! * [`Executor`] — compiles a [`irlt_ir::LoopNest`] to a slot-resolved
+//!   program and interprets it over concrete parameters and a sparse
+//!   [`Memory`], with configurable `pardo` iteration orders
+//!   ([`PardoOrder`]); every access goes to a sink — the trace collector
+//!   of [`TraceLevel::Accesses`], or any [`AccessSink`] via
+//!   [`Executor::stream`];
 //! * [`Memory::procedural`] — deterministic pseudo-random initial arrays,
 //!   so two executions can be compared without declaring shapes;
 //! * [`check_equivalence`] — differential testing of original vs
@@ -35,9 +38,12 @@
 
 mod exec;
 mod memory;
+mod program;
 mod verify;
 
-pub use exec::{AccessEvent, ExecError, ExecResult, Executor, PardoOrder, TraceLevel, UserFn};
+pub use exec::{
+    AccessEvent, AccessSink, ExecError, ExecResult, Executor, PardoOrder, TraceLevel, UserFn,
+};
 pub use memory::{ArrayStore, CellDiff, InitPolicy, Memory};
 pub use verify::{
     check_conflict_order, check_equivalence, empirical_dependences, observed_dependences,

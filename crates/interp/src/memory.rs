@@ -8,8 +8,9 @@
 //! exactly what differential testing of a transformed nest needs.
 
 use irlt_ir::Symbol;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A single array's storage.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -35,6 +36,87 @@ impl ArrayStore {
     }
 }
 
+/// A run's working copy of one array: the cells of an [`ArrayStore`]
+/// rehashed for constant-time access, and folded back into the ordered
+/// store when the run ends.
+pub(crate) struct WorkingStore {
+    cells: HashMap<Vec<i64>, i64, BuildHasherDefault<CellHasher>>,
+}
+
+impl WorkingStore {
+    pub(crate) fn new(store: ArrayStore) -> WorkingStore {
+        WorkingStore {
+            cells: store.cells.into_iter().collect(),
+        }
+    }
+
+    pub(crate) fn finish(self) -> ArrayStore {
+        ArrayStore {
+            cells: self.cells.into_iter().collect(),
+        }
+    }
+
+    /// Reads a cell of the array `name`, materializing it under `policy`.
+    pub(crate) fn read(&mut self, policy: InitPolicy, name: &Symbol, indices: &[i64]) -> i64 {
+        if let Some(&v) = self.cells.get(indices) {
+            return v;
+        }
+        let v = policy.initial(name, indices);
+        self.cells.insert(indices.to_vec(), v);
+        v
+    }
+
+    /// Writes a cell; the key is copied only when the cell is new.
+    pub(crate) fn write(&mut self, indices: &[i64], value: i64) {
+        match self.cells.get_mut(indices) {
+            Some(cell) => *cell = value,
+            None => {
+                self.cells.insert(indices.to_vec(), value);
+            }
+        }
+    }
+}
+
+/// A multiply-rotate hash over whole words, as rustc's `FxHasher`:
+/// subscript tuples are a few small integers, so one multiply per word
+/// spreads them well enough, far cheaper than SipHash. The low bits of a
+/// product see only the low bits of its operands, so `finish` rotates the
+/// well-mixed high bits down to where the table takes its bucket index;
+/// otherwise strided subscripts such as `a(1024*i)` would all share one
+/// bucket.
+#[derive(Default)]
+pub(crate) struct CellHasher(u64);
+
+impl CellHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// How reads of untouched cells behave.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InitPolicy {
@@ -46,6 +128,21 @@ pub enum InitPolicy {
         /// Seed mixed into the hash.
         seed: u64,
     },
+}
+
+impl InitPolicy {
+    /// The value an untouched cell reads as.
+    fn initial(self, array: &Symbol, indices: &[i64]) -> i64 {
+        match self {
+            InitPolicy::Zero => 0,
+            InitPolicy::Procedural { seed } => {
+                let h = cell_hash(seed, array, indices);
+                // Keep values small so products in matmul-style kernels
+                // stay far from overflow.
+                (h % 201) as i64 - 100
+            }
+        }
+    }
 }
 
 /// The full memory state: one [`ArrayStore`] per array name.
@@ -86,20 +183,12 @@ impl Memory {
 
     /// Reads a cell (materializing it under the procedural policy).
     pub fn read(&mut self, array: &Symbol, indices: &[i64]) -> i64 {
-        let policy = self.policy.unwrap_or(InitPolicy::Zero);
+        let policy = self.policy();
         let store = self.arrays.entry(array.clone()).or_default();
         if let Some(&v) = store.cells.get(indices) {
             return v;
         }
-        let v = match policy {
-            InitPolicy::Zero => 0,
-            InitPolicy::Procedural { seed } => {
-                let h = cell_hash(seed, array, indices);
-                // Keep values small so products in matmul-style kernels
-                // stay far from overflow.
-                (h % 201) as i64 - 100
-            }
-        };
+        let v = policy.initial(array, indices);
         store.cells.insert(indices.to_vec(), v);
         v
     }
@@ -130,6 +219,26 @@ impl Memory {
     /// The store for one array, if touched.
     pub fn array(&self, name: &Symbol) -> Option<&ArrayStore> {
         self.arrays.get(name)
+    }
+
+    /// How untouched cells read.
+    pub(crate) fn policy(&self) -> InitPolicy {
+        self.policy.unwrap_or(InitPolicy::Zero)
+    }
+
+    /// Moves the store of `name` out (empty if never touched), so a run
+    /// can index its arrays densely; [`Memory::put_store`] returns it.
+    pub(crate) fn take_store(&mut self, name: &Symbol) -> ArrayStore {
+        self.arrays.remove(name).unwrap_or_default()
+    }
+
+    /// Returns a store taken by [`Memory::take_store`]. Every access
+    /// materializes a cell, so an empty store is one nothing touched and
+    /// stays absent, as it would have been.
+    pub(crate) fn put_store(&mut self, name: Symbol, store: ArrayStore) {
+        if !store.is_empty() {
+            self.arrays.insert(name, store);
+        }
     }
 
     /// Iterates over `(array, store)` pairs.
@@ -273,6 +382,53 @@ mod tests {
         let b = Memory::procedural(3);
         let _ = a.read(&sym("A"), &[5]);
         assert_eq!(a.first_difference(&b), None);
+    }
+
+    #[test]
+    fn strided_subscripts_spread_over_buckets() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<CellHasher>::default();
+        for stride in [1i64, 2, 64, 1024, 1 << 20] {
+            let buckets: std::collections::BTreeSet<u64> = (0..1024i64)
+                .map(|i| build.hash_one(vec![stride * i, 7]) & 1023)
+                .collect();
+            assert!(
+                buckets.len() > 512,
+                "stride {stride}: {} buckets",
+                buckets.len()
+            );
+        }
+    }
+
+    #[test]
+    fn working_store_round_trips_in_order() {
+        let mut m = Memory::new();
+        m.set("A", &[2, 0], 1);
+        m.set("A", &[1, 9], 2);
+        let mut w = WorkingStore::new(m.take_store(&sym("A")));
+        w.write(&[0, 5], 3);
+        assert_eq!(w.read(InitPolicy::Zero, &sym("A"), &[1, 9]), 2);
+        assert_eq!(w.read(InitPolicy::Zero, &sym("A"), &[7, 7]), 0);
+        m.put_store(sym("A"), w.finish());
+        let cells: Vec<(Vec<i64>, i64)> = m
+            .array(&sym("A"))
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        assert_eq!(
+            cells,
+            vec![
+                (vec![0, 5], 3),
+                (vec![1, 9], 2),
+                (vec![2, 0], 1),
+                (vec![7, 7], 0)
+            ]
+        );
+        // An untouched array leaves no empty store behind.
+        let w = WorkingStore::new(m.take_store(&sym("B")));
+        m.put_store(sym("B"), w.finish());
+        assert!(m.array(&sym("B")).is_none());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! default test run; failing seeds persist to `tests/corpus/` and are
 //! replayed before any novel case on later runs.
 
+use irlt::cachesim::{SimError, SimResult};
 use irlt::prelude::*;
 use irlt_harness::diff::shrink_oracle_case;
 use irlt_harness::gen::{
@@ -1052,4 +1053,115 @@ fn snapshot_warmed_chains_match_fresh_chains() {
         stats.misses, 0,
         "a full warm start must replay without recomputing: {stats}"
     );
+}
+
+/// The reference locality trial: record the whole access trace, translate
+/// it with [`AddressMap::drive`], and replay it through a [`Cache`].
+fn reference_trial(
+    nest: &LoopNest,
+    params: &[(&str, i64)],
+    map: &AddressMap,
+    config: CacheConfig,
+) -> Result<SimResult, SimError> {
+    let mut ex = Executor::new();
+    for &(k, v) in params {
+        ex.set_param(k, v);
+    }
+    ex.trace(TraceLevel::Accesses);
+    let run = ex.run(nest, Memory::new())?;
+    let mut cache = Cache::new(config);
+    map.drive(&run.trace, |addr| {
+        cache.access(addr);
+    })?;
+    Ok(SimResult {
+        stats: cache.stats(),
+        iterations: run.iterations,
+    })
+}
+
+/// The streamed trial (`simulate_nest`) agrees field by field with the
+/// trace-replay reference, on generated nests and on their transformed
+/// forms (Block guards, Coalesce div/mod inits, `pardo`, reversals, …),
+/// including which error wins when an access leaves the declared arrays.
+#[test]
+fn streamed_trials_match_trace_replay() {
+    type Case = (LoopNest, TransformSeq, [(i64, u64); 2], CacheConfig);
+    let same = |nest: &LoopNest, map: &AddressMap, config: CacheConfig| -> CaseResult {
+        let streamed = simulate_nest(nest, &[], map, config);
+        let reference = reference_trial(nest, &[], map, config);
+        match (&streamed, &reference) {
+            (Ok(s), Ok(r)) => {
+                prop_assert_eq!(s.stats.accesses, r.stats.accesses);
+                prop_assert_eq!(s.stats.hits, r.stats.hits);
+                prop_assert_eq!(s.stats.misses, r.stats.misses);
+                prop_assert_eq!(s.iterations, r.iterations);
+            }
+            _ => prop_assert_eq!(streamed, reference),
+        }
+        CaseResult::Pass
+    };
+    check(
+        "streamed_trials_match_trace_replay",
+        &corpus_cfg(128),
+        |rng| -> Case {
+            let depth = rng.gen_range(1..=3usize);
+            let (nest, seq) = gen_pair(rng, depth);
+            // Windows from tight (most runs stray outside) to roomy.
+            let window = |rng: &mut irlt_harness::Rng| {
+                (rng.gen_range(-24..=0i64), rng.gen_range(4..=64i64) as u64)
+            };
+            let windows = [window(rng), window(rng)];
+            let line = *rng.choose(&[8usize, 16, 64]).expect("nonempty");
+            let ways = rng.gen_range(1..=4usize);
+            let sets = rng.gen_range(1..=8usize);
+            let config = CacheConfig {
+                size_bytes: line * ways * sets,
+                line_bytes: line,
+                associativity: ways,
+            };
+            (nest, seq, windows, config)
+        },
+        |(nest, seq, windows, config)| {
+            shrink_pair(&(nest.clone(), seq.clone()))
+                .into_iter()
+                .map(|(n, s)| (n, s, *windows, *config))
+                .collect()
+        },
+        |(nest, seq, windows, config)| {
+            let mut map = AddressMap::new(Order::ColMajor, 8);
+            for (name, &(origin, extent)) in ["A", "B"].iter().zip(windows) {
+                map.declare_with_origin(*name, &[extent], &[origin]);
+            }
+            if let CaseResult::Fail(why) = same(nest, &map, *config) {
+                return CaseResult::Fail(format!("original nest: {why}"));
+            }
+            match seq.apply(nest) {
+                Ok(out) => match same(&out, &map, *config) {
+                    CaseResult::Fail(why) => {
+                        CaseResult::Fail(format!("transformed nest:\n{out}\n{why}"))
+                    }
+                    other => other,
+                },
+                Err(_) => CaseResult::Pass,
+            }
+        },
+    );
+
+    // Pinned error precedence, identical on both paths.
+    let mut map = AddressMap::new(Order::RowMajor, 8);
+    map.declare("a", &[4]).declare("b", &[1]);
+    let cfg = CacheConfig::l1();
+    let unbound = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
+    let undeclared = parse_nest("do i = 1, 4\n q(i) = 0\nenddo").unwrap();
+    // i = 1 writes a(6), out of bounds; i = 2 then divides by zero.
+    let late_fault = parse_nest("do i = 1, 4\n a(i + 5) = 1\n b(1) = 10 / (2 - i)\nenddo").unwrap();
+    for (nest, expect_exec) in [(&unbound, true), (&undeclared, false), (&late_fault, true)] {
+        let streamed = simulate_nest(nest, &[], &map, cfg);
+        assert_eq!(streamed, reference_trial(nest, &[], &map, cfg), "{nest}");
+        match streamed {
+            Err(SimError::Exec(_)) => assert!(expect_exec, "{nest}"),
+            Err(SimError::Address(_)) => assert!(!expect_exec, "{nest}"),
+            Ok(r) => panic!("{nest} simulated: {r}"),
+        }
+    }
 }
