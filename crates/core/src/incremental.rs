@@ -44,7 +44,7 @@
 use crate::sequence::{IllegalReason, SequenceError, Step, TransformSeq};
 use crate::shared::{CachedOutcome, SharedLegalityCache, StateKey};
 use crate::template::Template;
-use irlt_dependence::DepSet;
+use irlt_dependence::{DepSet, Fingerprint128};
 use irlt_ir::LoopNest;
 use irlt_obs::Telemetry;
 use std::fmt;
@@ -94,6 +94,35 @@ pub struct SeqState {
     /// triple in legacy mode); kept in lock-step with
     /// `(prune, shape, mapped)` whenever `shared` is attached.
     skey: Option<StateKey>,
+    /// The identity of `shape`, derived whenever the state is built.
+    shape_id: ShapeId,
+}
+
+/// The exact identity of a [`SeqState`]'s shape, for deduplicating
+/// states by the shape they produce without comparing or re-hashing
+/// shapes.
+///
+/// With a fingerprint-keyed [`SharedLegalityCache`] attached it is the
+/// shape's interned pool id, which is exact (equal ids ⟺ equal
+/// shapes). Otherwise it is the shape's 128-bit structural fingerprint,
+/// computed once when the state is built. States derived from one root
+/// inherit its cache, so their ids are always of one kind and compare
+/// meaningfully.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ShapeId {
+    /// Id in the attached cache's shape pool.
+    Interned(u32),
+    /// 128-bit structural fingerprint (no fingerprint-keyed cache).
+    Fingerprint(u128),
+}
+
+impl ShapeId {
+    fn of(key: Option<&StateKey>, shape: &LoopNest) -> ShapeId {
+        match key {
+            Some(StateKey::Fp { shape, .. }) => ShapeId::Interned(*shape),
+            _ => ShapeId::Fingerprint(shape.fingerprint128()),
+        }
+    }
 }
 
 /// Alias for [`SeqState`] naming its role: the cache that lets
@@ -107,13 +136,11 @@ impl SeqState {
     /// The root is *not* legality-checked — mirroring the search
     /// convention that the identity transformation is always admissible.
     pub fn root(nest: &LoopNest, deps: &DepSet) -> SeqState {
+        let shape = LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new());
         SeqState {
             seq: TransformSeq::new(nest.depth()),
-            shape: Arc::new(LoopNest::with_inits(
-                nest.loops().to_vec(),
-                Vec::new(),
-                Vec::new(),
-            )),
+            shape_id: ShapeId::of(None, &shape),
+            shape: Arc::new(shape),
             mapped: Arc::new(deps.clone()),
             prune: false,
             telemetry: Telemetry::disabled(),
@@ -132,6 +159,7 @@ impl SeqState {
                 Arc::clone(&self.shape),
                 Arc::clone(&self.mapped),
             );
+            self.shape_id = ShapeId::of(Some(&key), &shape);
             self.skey = Some(key);
             self.shape = shape;
             self.mapped = mapped;
@@ -201,6 +229,11 @@ impl SeqState {
     /// (`D_k = t_k(…t₁(D)…)`), possibly subsumption-pruned.
     pub fn mapped_deps(&self) -> &DepSet {
         &self.mapped
+    }
+
+    /// The exact identity of [`SeqState::shape`] (see [`ShapeId`]).
+    pub fn shape_id(&self) -> ShapeId {
+        self.shape_id
     }
 
     /// The shared handle behind [`SeqState::shape`] (pool-canonical when
@@ -302,6 +335,7 @@ impl SeqState {
                 return match outcome {
                     CachedOutcome::Legal { shape, mapped, key } => Ok(SeqState {
                         seq,
+                        shape_id: ShapeId::of(Some(&key), &shape),
                         shape,
                         mapped,
                         prune: self.prune,
@@ -402,6 +436,7 @@ impl SeqState {
         };
         Ok(SeqState {
             seq,
+            shape_id: ShapeId::of(skey.as_ref(), &shape),
             shape,
             mapped,
             prune: self.prune,
@@ -663,6 +698,34 @@ mod tests {
         // The default state never recorded anything anywhere.
         assert!(plain.telemetry.report().counters.is_empty());
         assert!(tel.report().counter("legality/extensions") > 0);
+    }
+
+    #[test]
+    fn shape_ids_are_exact_with_and_without_a_cache() {
+        let (nest, deps) = stencil();
+        let skew = Template::unimodular(IntMatrix::skew(2, 0, 1, 1)).unwrap();
+        let par = Template::parallelize(vec![false, false]);
+        let cache = crate::SharedLegalityCache::new();
+        let plain = SeqState::root(&nest, &deps);
+        let cached = SeqState::root(&nest, &deps).with_shared(cache.clone(), 0);
+        for root in [&plain, &cached] {
+            // `pardo` over no loop leaves the shape as it was; a skew
+            // changes it.
+            let same = root.extend(par.clone()).unwrap();
+            let other = root.extend(skew.clone()).unwrap();
+            assert_eq!(same.shape(), root.shape());
+            assert_eq!(same.shape_id(), root.shape_id());
+            assert_ne!(other.shape_id(), root.shape_id());
+        }
+        assert!(matches!(plain.shape_id(), ShapeId::Fingerprint(_)));
+        assert!(matches!(cached.shape_id(), ShapeId::Interned(_)));
+        // A replayed child carries the id its depositor computed.
+        let replayed = SeqState::root(&nest, &deps)
+            .with_shared(cache.clone(), 1)
+            .extend(skew.clone())
+            .unwrap();
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(replayed.shape_id(), cached.extend(skew).unwrap().shape_id());
     }
 
     #[test]

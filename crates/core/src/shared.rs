@@ -56,15 +56,31 @@
 //! # Degradation
 //!
 //! The cache is capacity-bounded **per shard** (total capacity divided
-//! evenly). When an insert would overflow a shard, that shard's resident
-//! generation is dropped wholesale (a "generational" sweep: no LRU
-//! bookkeeping on the hot path) and the eviction is counted; other shards
-//! are untouched. Because entries only ever *replay* what recomputation
-//! would produce, eviction is invisible to results — jobs fall back to
-//! scratch legality work and produce verdict-identical output. The
-//! interner pools are **not** swept: live [`SeqState`]s hold interned
-//! ids, and recycling an id could alias two distinct states; the pools
-//! grow with the number of *distinct* structures seen.
+//! evenly). When an insert of a new key would overflow a shard, that
+//! shard's resident generation is dropped wholesale (a "generational"
+//! sweep: no LRU bookkeeping on the hot path) and the eviction is
+//! counted; other shards are untouched. A deposit of a key that is
+//! already resident (two workers missed on it at once) overwrites it in
+//! place and never sweeps. Because entries only ever *replay* what
+//! recomputation would produce, eviction is invisible to results — jobs
+//! fall back to scratch legality work and produce verdict-identical
+//! output. The interner pools are **not** swept: live [`SeqState`]s hold
+//! interned ids, and recycling an id could alias two distinct states;
+//! the pools grow with the number of *distinct* structures seen.
+//!
+//! [`DEFAULT_CAPACITY`](SharedLegalityCache::DEFAULT_CAPACITY) is
+//! 2¹⁸ entries, sized so that one pass of a deep batch never sweeps: the
+//! 63-nest `batch-deep` corpus of the end-to-end benchmark (max_steps 5,
+//! beam 16) deposits 102,802 entries. An entry's map slot is 104 bytes on
+//! a 64-bit target (a 32-byte probe key and a 72-byte outcome plus
+//! owner), and a legal outcome only points into the pools. The pools are
+//! never swept and already hold every shape and mapped set the entries
+//! refer to, so they, not the entries, dominate the cache's memory: on
+//! that pass the pools hold 43,523 values in about 100 MB, the entries
+//! about 15 MB (some 143 bytes each with table slack and the payloads of
+//! illegal verdicts). A sweep keeps a shard's table allocation, so a
+//! cache a quarter this size that sweeps all pass long holds about as
+//! much entry memory.
 //!
 //! # Persistence
 //!
@@ -437,7 +453,7 @@ fn auto_shards() -> usize {
 
 impl SharedLegalityCache {
     /// Default entry capacity before a generational sweep.
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
+    pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
     /// Owner tag for entries restored by
     /// [`load_snapshot`](SharedLegalityCache::load_snapshot): never a real
@@ -630,8 +646,11 @@ impl SharedLegalityCache {
         }
     }
 
-    /// Deposits the outcome of one extension, sweeping the key's shard
-    /// first if that shard is full.
+    /// Deposits the outcome of one extension. A key already resident
+    /// (two workers that missed on it at once both deposit) is
+    /// overwritten in place; a new key sweeps its shard first if that
+    /// shard is full. Only new keys count as inserts, so `entries ==
+    /// inserts` until the first sweep.
     pub(crate) fn insert(
         &self,
         state: StateKey,
@@ -642,13 +661,18 @@ impl SharedLegalityCache {
         let key = ProbeKey::new(&state, &template);
         let shard = self.shard_for(&key);
         let mut map = shard.lock();
+        let entry = Entry { outcome, owner };
+        if let Some(resident) = map.get_mut(&key) {
+            *resident = entry;
+            return;
+        }
         if map.len() >= self.inner.shard_capacity {
             shard
                 .evictions
                 .fetch_add(map.len() as u64, Ordering::Relaxed);
             map.clear();
         }
-        map.insert(key, Entry { outcome, owner });
+        map.insert(key, entry);
         self.inner.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -877,6 +901,29 @@ mod tests {
         let plain = SeqState::root(&nest, &deps).extend(t1).unwrap();
         assert_eq!(again.mapped_deps(), plain.mapped_deps());
         assert_eq!(again.shape(), plain.shape());
+    }
+
+    #[test]
+    fn redeposit_overwrites_in_place_without_sweeping() {
+        // Two workers that miss on the same `(state, template)` at once
+        // both deposit it. The second deposit must neither sweep the
+        // full shard nor count as a new entry.
+        let (nest, deps) = stencil();
+        let cache = SharedLegalityCache::with_config(1, 1, KeyMode::Fingerprint);
+        let (state, _, _) = cache.intern_state(false, Arc::new(nest), Arc::new(deps));
+        let t = Template::unimodular(irlt_unimodular::IntMatrix::skew(2, 0, 1, 1)).unwrap();
+        let tkey = cache.template_key(&t);
+        for owner in [0, 1] {
+            let outcome = CachedOutcome::Illegal(IllegalReason::Dependences {
+                witnesses: Vec::new(),
+            });
+            cache.insert(state.clone(), tkey.clone(), outcome, owner);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.evictions, stats.inserts, stats.entries), (0, 1, 1));
+        // The later depositor owns the entry.
+        assert!(cache.lookup(&state, &tkey, 1).is_some());
+        assert_eq!(cache.stats().cross_hits, 0);
     }
 
     #[test]

@@ -51,10 +51,6 @@ pub struct BatchConfig {
     pub cache_save: Option<PathBuf>,
     /// Initial job distribution.
     pub sharding: Sharding,
-    /// Per-job search engine selection (see
-    /// [`SearchConfig::incremental`]); the shared cache requires the
-    /// incremental engine and is skipped without it.
-    pub incremental: bool,
     /// Subsumption pruning of cached dependence sets.
     pub prune: bool,
     /// How shared-cache keys are represented (see [`KeyMode`]).
@@ -77,7 +73,6 @@ impl Default for BatchConfig {
             cache_load: None,
             cache_save: None,
             sharding: Sharding::RoundRobin,
-            incremental: true,
             prune: true,
             key_mode: KeyMode::default(),
             telemetry: Telemetry::disabled(),
@@ -217,9 +212,7 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
         config.threads
     };
     let tel = &config.telemetry;
-    // The shared cache only serves the incremental engine (it memoizes
-    // SeqState extensions); the scratch engine ignores it.
-    let cache = (config.shared_cache && config.incremental).then(|| {
+    let cache = config.shared_cache.then(|| {
         let shards = if config.cache_shards == 0 {
             (workers * 4).next_power_of_two()
         } else {
@@ -270,7 +263,6 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
             scope.spawn(move || {
                 gate.wait();
                 let opts = ExecOptions {
-                    incremental: config.incremental,
                     prune: config.prune,
                     telemetry: config.telemetry.clone(),
                     cancel: None,
@@ -378,9 +370,6 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
 /// business.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// Use the incremental legality engine (see
-    /// [`SearchConfig::incremental`]).
-    pub incremental: bool,
     /// Subsumption pruning of cached dependence sets.
     pub prune: bool,
     /// Telemetry sink; disabled by default and bit-identical either way.
@@ -396,7 +385,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
         ExecOptions {
-            incremental: true,
             prune: true,
             telemetry: Telemetry::disabled(),
             cancel: None,
@@ -431,7 +419,6 @@ pub fn execute_job(
         max_steps: job.max_steps,
         beam_width: job.beam_width,
         threads: 1,
-        incremental: opts.incremental,
         prune: opts.prune,
         telemetry: opts.telemetry.clone(),
         shared: cache.cloned(),

@@ -7,21 +7,21 @@
 //! scored on a body-less shape (or a trial execution, for locality goals).
 //!
 //! The inner loop runs on the incremental legality engine
-//! ([`irlt_core::SeqState`]): each frontier candidate carries its mapped
-//! dependence set and intermediate shape, so extending it by one template
-//! costs O(one template) instead of replaying the whole sequence.
-//! Frontier expansion optionally fans out across `std::thread::scope`
-//! workers; outcomes are merged in deterministic (state, move) order, so
-//! the result is bit-identical to the serial path — and to the
-//! from-scratch path (`incremental: false`), which is kept for
-//! benchmarking and differential testing.
+//! ([`irlt_core::SeqState`]): the frontier is made of `SeqState`s, each
+//! carrying its mapped dependence set and intermediate shape, so extending
+//! one by a template costs O(one template) instead of replaying the whole
+//! sequence. A legal child is scored in place and kept as it is; the
+//! public [`Candidate`] is built once, for the winner. Frontier expansion
+//! optionally fans out across `std::thread::scope` workers; outcomes are
+//! merged in deterministic (state, move) order, so the result is
+//! bit-identical to the serial path. [`TransformSeq::is_legal`] stays the
+//! paper-literal oracle the engine is tested against.
 
 use crate::cancel::CancelToken;
 use crate::goal::Goal;
 use crate::moves::MoveCatalog;
 use irlt_core::{
-    ExtendError, IllegalReason, LegalityReport, SeqState, SharedLegalityCache, Template,
-    TransformSeq,
+    ExtendError, IllegalReason, SeqState, ShapeId, SharedLegalityCache, Template, TransformSeq,
 };
 use irlt_dependence::DepSet;
 use irlt_ir::LoopNest;
@@ -43,14 +43,8 @@ pub struct SearchConfig {
     /// uses one worker per available core. Results are bit-identical for
     /// every thread count (deterministic merge order).
     pub threads: usize,
-    /// Evaluate candidates with the incremental legality engine
-    /// (prefix-cached dependence mapping + fail-fast). `false` replays
-    /// every candidate from scratch through
-    /// [`TransformSeq::is_legal`] — the pre-cache path, kept for
-    /// benchmarking and differential testing.
-    pub incremental: bool,
-    /// Subsumption-prune cached dependence sets (incremental mode only;
-    /// exact for the built-in templates the catalog generates).
+    /// Subsumption-prune cached dependence sets (exact for the built-in
+    /// templates the catalog generates).
     pub prune: bool,
     /// Telemetry sink for search observability. The default is the
     /// disabled (no-op) handle: nothing is recorded, nothing is
@@ -62,8 +56,7 @@ pub struct SearchConfig {
     /// timings, and — through [`SeqState`] — the legality-cache and
     /// dependence-mapping counters.
     pub telemetry: Telemetry,
-    /// Cross-nest shared legality cache (incremental mode only): when
-    /// set, every candidate extension consults the batch-wide memo table
+    /// Cross-nest shared legality cache: when set, every candidate extension consults the batch-wide memo table
     /// before recomputing, and deposits what it computes. Replay is
     /// bit-identical to recomputation, so results do not depend on the
     /// cache's contents, on `owner`, or on which jobs ran before.
@@ -88,7 +81,6 @@ impl Default for SearchConfig {
             max_steps: 3,
             beam_width: 8,
             threads: 1,
-            incremental: true,
             prune: true,
             telemetry: Telemetry::disabled(),
             shared: None,
@@ -142,12 +134,11 @@ impl fmt::Display for SearchResult {
     }
 }
 
-/// A frontier node: the public candidate plus (in incremental mode) its
-/// cached legality state.
+/// A frontier node: a legal state and its score.
 #[derive(Clone, Debug)]
 struct Node {
-    cand: Candidate,
-    state: Option<SeqState>,
+    state: SeqState,
+    score: f64,
 }
 
 /// Which arm of the uniform legality test rejected a candidate — the
@@ -173,10 +164,8 @@ enum Outcome {
     Tested(RejectKind),
     /// Legal, but unscorable (code generation or trial scoring failed).
     LegalUnscored,
-    /// Legal and scored. Boxed: a `Node` carries a sequence, shape, and
-    /// cached dependence set (~300 bytes), while every other variant is
-    /// word-sized.
-    Legal(Box<Node>),
+    /// Legal and scored.
+    Legal(Node),
     /// The cancel token fired before this job was evaluated: not counted
     /// anywhere (the search is winding down).
     Cancelled,
@@ -190,18 +179,12 @@ fn reject_kind(reason: &IllegalReason) -> RejectKind {
     }
 }
 
-fn score_candidate(
-    seq: &TransformSeq,
-    full_shape: &LoopNest,
-    nest: &LoopNest,
-    goal: &Goal,
-    tel: &Telemetry,
-) -> Option<f64> {
+fn score_state(state: &SeqState, nest: &LoopNest, goal: &Goal, tel: &Telemetry) -> Option<f64> {
     match goal {
         // For locality goals the trial must execute the body, so score on
         // the real transformed nest instead.
-        Goal::Locality(_) => goal.score_observed(&seq.apply(nest).ok()?, tel),
-        _ => goal.score(full_shape),
+        Goal::Locality(_) => goal.score_observed(&state.seq().apply(nest).ok()?, tel),
+        _ => goal.score(state.shape()),
     }
 }
 
@@ -210,72 +193,19 @@ fn score_candidate(
 #[derive(Clone, Copy)]
 struct EvalCtx<'a> {
     nest: &'a LoopNest,
-    deps: &'a DepSet,
     goal: &'a Goal,
-    incremental: bool,
     tel: &'a Telemetry,
     cancel: Option<&'a CancelToken>,
 }
 
 fn evaluate(parent: &Node, template: Template, ctx: EvalCtx<'_>) -> Outcome {
-    let EvalCtx {
-        nest,
-        deps,
-        goal,
-        incremental,
-        tel,
-        cancel: _,
-    } = ctx;
-    if incremental {
-        let state = parent
-            .state
-            .as_ref()
-            .expect("incremental node carries state");
-        return match state.extend(template) {
-            Err(ExtendError::Sequence(_)) => Outcome::Rejected,
-            Err(ExtendError::Illegal(reason)) => Outcome::Tested(reject_kind(&reason)),
-            Ok(child) => {
-                let shape = child.shape().clone();
-                match score_candidate(child.seq(), &shape, nest, goal, tel) {
-                    None => Outcome::LegalUnscored,
-                    Some(score) => Outcome::Legal(Box::new(Node {
-                        cand: Candidate {
-                            seq: child.seq().clone(),
-                            score,
-                            shape,
-                        },
-                        state: Some(child),
-                    })),
-                }
-            }
-        };
-    }
-    let seq = match parent.cand.seq.clone().push(template) {
-        Ok(s) => s,
-        Err(_) => return Outcome::Rejected,
-    };
-    if tel.is_enabled() {
-        // The from-scratch engine replays every step of the candidate —
-        // the cost the incremental engine's prefix cache avoids.
-        tel.count("legality/scratch/steps_replayed", seq.len() as u64);
-    }
-    if let LegalityReport::Illegal(reason) = seq.is_legal(nest, deps) {
-        return Outcome::Tested(reject_kind(&reason));
-    }
-    let shape0 = LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new());
-    let Ok(full_shape) = seq.apply(&shape0) else {
-        return Outcome::LegalUnscored;
-    };
-    match score_candidate(&seq, &full_shape, nest, goal, tel) {
-        None => Outcome::LegalUnscored,
-        Some(score) => Outcome::Legal(Box::new(Node {
-            cand: Candidate {
-                seq,
-                score,
-                shape: full_shape,
-            },
-            state: None,
-        })),
+    match parent.state.extend(template) {
+        Err(ExtendError::Sequence(_)) => Outcome::Rejected,
+        Err(ExtendError::Illegal(reason)) => Outcome::Tested(reject_kind(&reason)),
+        Ok(state) => match score_state(&state, ctx.nest, ctx.goal, ctx.tel) {
+            None => Outcome::LegalUnscored,
+            Some(score) => Outcome::Legal(Node { state, score }),
+        },
     }
 }
 
@@ -325,15 +255,6 @@ fn expand(
     out
 }
 
-/// Structural fingerprint of a shape for beam dedup: the 128-bit
-/// structural hash the shared cache keys on (no `Display` streaming, no
-/// per-candidate allocation, and collisions negligible at 128 bits —
-/// a silent collision here would silently drop a distinct candidate).
-fn shape_fingerprint(shape: &LoopNest) -> u128 {
-    use irlt_dependence::Fingerprint128 as _;
-    shape.fingerprint128()
-}
-
 /// Searches for the best legal transformation of `nest` under `goal`.
 ///
 /// Every candidate is vetted by the framework's full legality test
@@ -359,32 +280,21 @@ fn shape_fingerprint(shape: &LoopNest) -> u128 {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig) -> SearchResult {
-    let shape0 = LoopNest::with_inits(nest.loops().to_vec(), Vec::new(), Vec::new());
+    let tel = &config.telemetry;
+    let mut state = SeqState::root(nest, deps)
+        .with_pruning(config.prune)
+        .with_telemetry(tel.clone());
+    if let Some(cache) = &config.shared {
+        state = state.with_shared(cache.clone(), config.owner);
+    }
     // Locality scoring must execute the real body; structural goals only
-    // need the shape.
-    let base_score = match goal {
+    // need the (body-less) root shape.
+    let score = match goal {
         Goal::Locality(_) => goal.score(nest),
-        _ => goal.score(&shape0),
+        _ => goal.score(state.shape()),
     }
     .unwrap_or(f64::NEG_INFINITY);
-    let tel = &config.telemetry;
-    let state = config.incremental.then(|| {
-        let mut s = SeqState::root(nest, deps)
-            .with_pruning(config.prune)
-            .with_telemetry(tel.clone());
-        if let Some(cache) = &config.shared {
-            s = s.with_shared(cache.clone(), config.owner);
-        }
-        s
-    });
-    let root = Node {
-        cand: Candidate {
-            seq: TransformSeq::new(nest.depth()),
-            score: base_score,
-            shape: shape0,
-        },
-        state,
-    };
+    let root = Node { state, score };
     let threads = if config.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -395,12 +305,12 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
         tel.count("search/beam_width", config.beam_width as u64);
         tel.count("search/max_steps", config.max_steps as u64);
     }
-    let mut best = root.cand.clone();
+    let mut best = root.clone();
     let mut frontier = vec![root];
     let mut explored = 0usize;
     let mut legal = 0usize;
     let mut timed_out = false;
-    let mut seen_shapes: HashSet<u128> = HashSet::new();
+    let mut seen_shapes: HashSet<ShapeId> = HashSet::new();
 
     for depth in 0..config.max_steps {
         if config
@@ -417,16 +327,14 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             .flat_map(|(si, node)| {
                 config
                     .catalog
-                    .moves(node.cand.shape.depth())
+                    .moves(node.state.shape().depth())
                     .into_iter()
                     .map(move |t| (si, t))
             })
             .collect();
         let ctx = EvalCtx {
             nest,
-            deps,
             goal,
-            incremental: config.incremental,
             tel,
             cancel: config.cancel.as_ref(),
         };
@@ -458,24 +366,19 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
                     explored += 1;
                     legal += 1;
                     n_legal += 1;
-                    if !seen_shapes.insert(shape_fingerprint(&node.cand.shape)) {
+                    if !seen_shapes.insert(node.state.shape_id()) {
                         n_deduped += 1;
                         continue;
                     }
-                    if node.cand.score > best.score {
-                        best = node.cand.clone();
+                    if node.score > best.score {
+                        best = node.clone();
                     }
-                    next.push(*node);
+                    next.push(node);
                 }
                 Outcome::Cancelled => timed_out = true,
             }
         }
-        next.sort_by(|a, b| {
-            b.cand
-                .score
-                .partial_cmp(&a.cand.score)
-                .expect("finite scores")
-        });
+        next.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
         next.truncate(config.beam_width);
         if let (Some(t0), Some(t1)) = (expand_start, merge_start) {
             let d = format!("search/depth.{depth}");
@@ -489,7 +392,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             tel.count(&format!("{d}/shape_deduped"), n_deduped);
             tel.count(&format!("{d}/beam_kept"), next.len() as u64);
             for node in &next {
-                tel.observe("search/score", node.cand.score);
+                tel.observe("search/score", node.score);
             }
             tel.record_span("search/expand", t1.duration_since(t0));
             tel.record_span("search/merge", t1.elapsed());
@@ -508,7 +411,11 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
         }
     }
     SearchResult {
-        best,
+        best: Candidate {
+            seq: best.state.seq().clone(),
+            score: best.score,
+            shape: best.state.shape().clone(),
+        },
         explored,
         legal,
         timed_out,
@@ -637,7 +544,8 @@ mod tests {
         assert!(s.contains("candidates tested"), "{s}");
     }
 
-    /// Every engine/thread combination used below must agree bit-for-bit.
+    /// Every pruning/thread/cache combination used below must agree
+    /// bit-for-bit.
     fn run_all_modes(
         nest: &LoopNest,
         deps: &DepSet,
@@ -645,16 +553,8 @@ mod tests {
         base: &SearchConfig,
     ) -> Vec<SearchResult> {
         let mut out = Vec::new();
-        for (incremental, prune, threads) in [
-            (false, false, 1),
-            (false, false, 4),
-            (true, false, 1),
-            (true, true, 1),
-            (true, true, 4),
-            (true, true, 0),
-        ] {
+        for (prune, threads) in [(false, 1), (true, 1), (true, 4), (true, 0)] {
             let cfg = SearchConfig {
-                incremental,
                 prune,
                 threads,
                 ..base.clone()
@@ -714,8 +614,9 @@ mod tests {
     #[test]
     fn matmul_deep_config_matches_pre_cache_serial_path() {
         // The acceptance configuration: Fig. 6 matmul, max_steps 5,
-        // beam 16. The incremental/parallel engines must return exactly
-        // the pre-cache serial result (best sequence AND counters).
+        // beam 16. Pruned, parallel and cached searches must return
+        // exactly the unpruned serial result (best sequence AND
+        // counters).
         let nest = parse_nest(
             "do i = 1, n\n do j = 1, n\n  do k = 1, n\n   A(i, j) = A(i, j) + B(i, k) * C(k, j)\n  enddo\n enddo\nenddo",
         )
@@ -762,32 +663,23 @@ mod tests {
     fn push_arity_rejection_never_reaches_legality_test() {
         // A template whose input size cannot chain onto the root must
         // yield `Rejected` — the outcome `search` excludes from
-        // `explored` — in both engines.
+        // `explored`.
         let nest = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
         let deps = analyze_dependences(&nest);
         let wrong_arity = Template::parallelize(vec![true, false]);
-        for incremental in [false, true] {
-            let state = incremental.then(|| SeqState::root(&nest, &deps));
-            let root = Node {
-                cand: Candidate {
-                    seq: TransformSeq::new(nest.depth()),
-                    score: 0.0,
-                    shape: nest.clone(),
-                },
-                state,
-            };
-            let tel = Telemetry::disabled();
-            let ctx = EvalCtx {
-                nest: &nest,
-                deps: &deps,
-                goal: &Goal::OuterParallel,
-                incremental,
-                tel: &tel,
-                cancel: None,
-            };
-            let outcome = evaluate(&root, wrong_arity.clone(), ctx);
-            assert!(matches!(outcome, Outcome::Rejected), "{outcome:?}");
-        }
+        let root = Node {
+            state: SeqState::root(&nest, &deps),
+            score: 0.0,
+        };
+        let tel = Telemetry::disabled();
+        let ctx = EvalCtx {
+            nest: &nest,
+            goal: &Goal::OuterParallel,
+            tel: &tel,
+            cancel: None,
+        };
+        let outcome = evaluate(&root, wrong_arity, ctx);
+        assert!(matches!(outcome, Outcome::Rejected), "{outcome:?}");
     }
 
     #[test]
@@ -847,36 +739,6 @@ mod tests {
         assert!(r.counter("legality/cache/hits") > 0, "{r:?}");
         assert!(r.spans.contains_key("search/expand"), "{r:?}");
         assert!(r.stats.contains_key("search/score"), "{r:?}");
-    }
-
-    #[test]
-    fn scratch_engine_telemetry_counts_replayed_steps() {
-        let nest = parse_nest(
-            "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo",
-        )
-        .unwrap();
-        let deps = analyze_dependences(&nest);
-        let tel = Telemetry::enabled();
-        let cfg = SearchConfig {
-            catalog: MoveCatalog::parallelism(),
-            max_steps: 2,
-            beam_width: 8,
-            incremental: false,
-            telemetry: tel.clone(),
-            ..SearchConfig::default()
-        };
-        let r0 = search(&nest, &deps, &Goal::OuterParallel, &cfg);
-        let r = tel.report();
-        assert!(
-            r.counter("legality/scratch/steps_replayed") > r0.explored as u64,
-            "{r:?}"
-        );
-        // No incremental engine, no cache counters.
-        assert_eq!(r.counter("legality/cache/hits"), 0);
-        assert!(
-            r.counter("search/depth.0/lex_negative_rejected") > 0,
-            "{r:?}"
-        );
     }
 
     #[test]
@@ -940,13 +802,5 @@ mod tests {
         let tokened = search(&nest, &deps, &Goal::OuterParallel, &cfg);
         assert!(!tokened.timed_out);
         assert_identical(&[plain, tokened]);
-    }
-
-    #[test]
-    fn shape_fingerprint_distinguishes_shapes() {
-        let a = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
-        let b = parse_nest("do j = 2, m\n a(j) = 0\nenddo").unwrap();
-        assert_ne!(shape_fingerprint(&a), shape_fingerprint(&b));
-        assert_eq!(shape_fingerprint(&a), shape_fingerprint(&a.clone()));
     }
 }

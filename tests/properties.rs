@@ -463,6 +463,89 @@ fn shared_cache_matches_fresh_chains() {
     );
 }
 
+/// The beam search is invisible to the legality cache: on generated
+/// nests and goals, a search with no cache, one through a single-entry
+/// cache that sweeps on every new deposit, one through a default-sized
+/// cache, and a second search on that now-warm cache all return the
+/// same best sequence, score bits and shape, and the same `explored`,
+/// `legal` and `timed_out`. The default cache persists across cases, so
+/// later cases also replay what earlier ones deposited; the warm rerun
+/// must serve every probe from it.
+#[test]
+fn search_results_do_not_depend_on_the_cache() {
+    let roomy = SharedLegalityCache::new();
+    let owner = std::cell::Cell::new(0u64);
+    check(
+        "search_results_do_not_depend_on_the_cache",
+        &corpus_cfg(64),
+        |rng| {
+            let depth = rng.gen_range(1..=3usize);
+            let nest = gen_nest(rng, depth);
+            let outer = rng.gen_bool(0.5);
+            let max_steps = rng.gen_range(1..=3usize);
+            let beam = rng.gen_range(1..=6usize);
+            (nest, outer, max_steps, beam)
+        },
+        |(nest, outer, max_steps, beam)| {
+            let mut out = Vec::new();
+            if *max_steps > 1 {
+                out.push((nest.clone(), *outer, max_steps - 1, *beam));
+            }
+            if *beam > 1 {
+                out.push((nest.clone(), *outer, *max_steps, beam - 1));
+            }
+            out
+        },
+        |(nest, outer, max_steps, beam)| {
+            let goal = if *outer {
+                Goal::OuterParallel
+            } else {
+                Goal::InnerParallel
+            };
+            let deps = analyze_dependences(nest);
+            let run = |shared: Option<SharedLegalityCache>| {
+                owner.set(owner.get() + 1);
+                let cfg = SearchConfig {
+                    max_steps: *max_steps,
+                    beam_width: *beam,
+                    shared,
+                    owner: owner.get(),
+                    ..SearchConfig::default()
+                };
+                search(nest, &deps, &goal, &cfg)
+            };
+            let plain = run(None);
+            let sweeping = SharedLegalityCache::with_shards(1, 1);
+            let results = [run(Some(sweeping.clone())), run(Some(roomy.clone())), {
+                let misses = roomy.stats().misses;
+                let warm = run(Some(roomy.clone()));
+                prop_assert_eq!(roomy.stats().misses, misses);
+                warm
+            }];
+            let outcome = |r: &irlt::opt::SearchResult| {
+                (
+                    r.best.seq.to_string(),
+                    r.best.score.to_bits(),
+                    r.best.shape.clone(),
+                    r.explored,
+                    r.legal,
+                    r.timed_out,
+                )
+            };
+            for (k, r) in results.iter().enumerate() {
+                prop_assert_eq!((k, outcome(r)), (k, outcome(&plain)));
+            }
+            prop_assert!(sweeping.len() <= 1, "capacity 1 holds {}", sweeping.len());
+            CaseResult::Pass
+        },
+    );
+    let stats = roomy.stats();
+    assert!(
+        stats.hits > 0 && stats.evictions == 0 && stats.entries == stats.inserts,
+        "the default cache must engage without sweeping: {stats}"
+    );
+}
+
 /// Every packable element — all six `Dir` values plus in-range
 /// distances — survives a pack → unpack round trip at every length
 /// `1..=8`, and packed equality coincides with vector equality.
