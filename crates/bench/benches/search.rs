@@ -5,9 +5,7 @@
 //! Three workloads: the Fig. 1(a) stencil (wavefront discovery), the
 //! Fig. 6 matrix multiply at the deep acceptance configuration
 //! (`max_steps: 5, beam_width: 16`), and a depth-4 rectangular nest.
-//! `search/*/incremental` is the serial search and `search/*/parallel`
-//! the same search with 4 workers; both are gated against
-//! `BENCH_3.json`.
+//! Each row, `search/*/incremental`, is gated against `BENCH_3.json`.
 //!
 //! `IRLT_TELEMETRY=path.json` turns the run into a telemetry capture:
 //! every search records through one shared handle and the aggregated JSON
@@ -21,8 +19,8 @@ use irlt_ir::LoopNest;
 use irlt_obs::Telemetry;
 use irlt_opt::{search, Goal, MoveCatalog, SearchConfig};
 
-/// One benchmark workload: a nest, a goal, and the base search
-/// configuration every engine variant shares.
+/// One benchmark workload: a nest, a goal, and its search
+/// configuration.
 struct Workload {
     name: &'static str,
     nest: LoopNest,
@@ -30,34 +28,16 @@ struct Workload {
     base: SearchConfig,
 }
 
-fn engines(base: &SearchConfig) -> [(&'static str, SearchConfig); 2] {
-    [
-        (
-            "incremental",
-            SearchConfig {
-                prune: true,
-                threads: 1,
-                ..base.clone()
-            },
-        ),
-        (
-            "parallel",
-            SearchConfig {
-                prune: true,
-                threads: 4,
-                ..base.clone()
-            },
-        ),
-    ]
-}
-
 fn bench_workload(r: &mut Runner, w: &Workload) {
     let deps = analyze_dependences(&w.nest);
-    for (engine, cfg) in engines(&w.base) {
-        r.bench(&format!("search/{}/{engine}", w.name), || {
-            black_box(search(black_box(&w.nest), black_box(&deps), &w.goal, &cfg))
-        });
-    }
+    r.bench(&format!("search/{}/incremental", w.name), || {
+        black_box(search(
+            black_box(&w.nest),
+            black_box(&deps),
+            &w.goal,
+            &w.base,
+        ))
+    });
 }
 
 fn main() {

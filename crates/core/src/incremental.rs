@@ -90,9 +90,9 @@ pub struct SeqState {
     shared: Option<SharedLegalityCache>,
     /// Identity tag for cross-job hit accounting in the shared cache.
     owner: u64,
-    /// This state's precomputed cache key (interned ids, or the rendered
-    /// triple in legacy mode); kept in lock-step with
-    /// `(prune, shape, mapped)` whenever `shared` is attached.
+    /// This state's precomputed cache key (interned ids); kept in
+    /// lock-step with `(prune, shape, mapped)` whenever `shared` is
+    /// attached.
     skey: Option<StateKey>,
     /// The identity of `shape`, derived whenever the state is built.
     shape_id: ShapeId,
@@ -102,7 +102,7 @@ pub struct SeqState {
 /// states by the shape they produce without comparing or re-hashing
 /// shapes.
 ///
-/// With a fingerprint-keyed [`SharedLegalityCache`] attached it is the
+/// With a [`SharedLegalityCache`] attached it is the
 /// shape's interned pool id, which is exact (equal ids ⟺ equal
 /// shapes). Otherwise it is the shape's 128-bit structural fingerprint,
 /// computed once when the state is built. States derived from one root
@@ -112,15 +112,15 @@ pub struct SeqState {
 pub enum ShapeId {
     /// Id in the attached cache's shape pool.
     Interned(u32),
-    /// 128-bit structural fingerprint (no fingerprint-keyed cache).
+    /// 128-bit structural fingerprint (no cache attached).
     Fingerprint(u128),
 }
 
 impl ShapeId {
-    fn of(key: Option<&StateKey>, shape: &LoopNest) -> ShapeId {
+    fn of(key: Option<StateKey>, shape: &LoopNest) -> ShapeId {
         match key {
-            Some(StateKey::Fp { shape, .. }) => ShapeId::Interned(*shape),
-            _ => ShapeId::Fingerprint(shape.fingerprint128()),
+            Some(key) => ShapeId::Interned(key.shape),
+            None => ShapeId::Fingerprint(shape.fingerprint128()),
         }
     }
 }
@@ -159,7 +159,7 @@ impl SeqState {
                 Arc::clone(&self.shape),
                 Arc::clone(&self.mapped),
             );
-            self.shape_id = ShapeId::of(Some(&key), &shape);
+            self.shape_id = ShapeId::of(Some(key), &shape);
             self.skey = Some(key);
             self.shape = shape;
             self.mapped = mapped;
@@ -266,9 +266,9 @@ impl SeqState {
     #[doc(hidden)]
     pub fn shared_probe(&self, template: &Template) -> Option<bool> {
         let cache = self.shared.as_ref()?;
-        let skey = self.skey.as_ref()?;
+        let skey = self.skey?;
         let tkey = cache.template_key(template);
-        Some(cache.lookup(skey, &tkey, self.owner).is_some())
+        Some(cache.lookup(skey, tkey, self.owner).is_some())
     }
 
     /// Extends the prefix by one built-in template instantiation,
@@ -316,15 +316,12 @@ impl SeqState {
         // never cached (their rendering does not pin their semantics).
         // The template key is computed once here and reused by the
         // lookup and any deposit; the state key was computed when this
-        // state was created. Nothing on this path renders a string in
-        // fingerprint mode.
-        let shared_key = match (&self.shared, &self.skey, &step) {
-            (Some(cache), Some(skey), Step::Builtin(t)) => {
-                Some((skey.clone(), cache.template_key(t)))
-            }
+        // state was created. Nothing on this path renders a string.
+        let shared_key = match (&self.shared, self.skey, &step) {
+            (Some(cache), Some(skey), Step::Builtin(t)) => Some((skey, cache.template_key(t))),
             _ => None,
         };
-        if let (Some(cache), Some((skey, tkey))) = (&self.shared, &shared_key) {
+        if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
             if tel.is_enabled() {
                 tel.incr("legality/key/probes");
             }
@@ -335,7 +332,7 @@ impl SeqState {
                 return match outcome {
                     CachedOutcome::Legal { shape, mapped, key } => Ok(SeqState {
                         seq,
-                        shape_id: ShapeId::of(Some(&key), &shape),
+                        shape_id: ShapeId::of(Some(key), &shape),
                         shape,
                         mapped,
                         prune: self.prune,
@@ -360,10 +357,10 @@ impl SeqState {
             }
         }
         let deposit_illegal = |reason: &IllegalReason| {
-            if let (Some(cache), Some((skey, tkey))) = (&self.shared, &shared_key) {
+            if let (Some(cache), Some((skey, tkey))) = (&self.shared, shared_key) {
                 cache.insert(
-                    skey.clone(),
-                    tkey.clone(),
+                    skey,
+                    tkey,
                     CachedOutcome::Illegal(reason.clone()),
                     self.owner,
                 );
@@ -425,7 +422,7 @@ impl SeqState {
                     CachedOutcome::Legal {
                         shape: Arc::clone(&shape),
                         mapped: Arc::clone(&mapped),
-                        key: child_key.clone(),
+                        key: child_key,
                     },
                     self.owner,
                 );
@@ -436,7 +433,7 @@ impl SeqState {
         };
         Ok(SeqState {
             seq,
-            shape_id: ShapeId::of(skey.as_ref(), &shape),
+            shape_id: ShapeId::of(skey, &shape),
             shape,
             mapped,
             prune: self.prune,

@@ -80,7 +80,7 @@ pub use sequence::{
     init_prefix, IllegalReason, KernelTemplate, LegalityReport, SeqApplyError, SequenceError, Step,
     TransformSeq,
 };
-pub use shared::{KeyMode, ShardStats, SharedCacheStats, SharedLegalityCache};
+pub use shared::{ShardStats, SharedCacheStats, SharedLegalityCache};
 pub use snapshot::{
     generation_path, SnapshotError, SnapshotLoadStats, SnapshotSaveError, SnapshotWriteStats,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

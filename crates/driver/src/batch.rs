@@ -2,7 +2,7 @@
 
 use crate::job::{Job, JobResult, JobStatus};
 use crate::pool::WorkQueues;
-use irlt_core::{KeyMode, SharedCacheStats, SharedLegalityCache, SnapshotLoadStats};
+use irlt_core::{SharedCacheStats, SharedLegalityCache, SnapshotLoadStats};
 use irlt_dependence::analyze_dependences;
 use irlt_obs::{Json, Telemetry};
 use irlt_opt::{search, CancelToken, SearchConfig};
@@ -37,9 +37,9 @@ pub struct BatchConfig {
     /// the memory-pressure degradation knob.
     pub cache_capacity: usize,
     /// Lock-striped shards of the shared cache: `0` (the default)
-    /// auto-sizes to `next_power_of_two(workers * 4)` so probes rarely
-    /// collide on a stripe. Results are bit-identical for every shard
-    /// count.
+    /// auto-sizes to [`SharedLegalityCache::auto_shards`] of the worker
+    /// count so probes rarely collide on a stripe. Results are
+    /// bit-identical for every shard count.
     pub cache_shards: usize,
     /// Warm-start: load this `irlt-cache/v1` snapshot into the shared
     /// cache before the batch starts. A missing or rejected file
@@ -53,11 +53,6 @@ pub struct BatchConfig {
     pub sharding: Sharding,
     /// Subsumption pruning of cached dependence sets.
     pub prune: bool,
-    /// How shared-cache keys are represented (see [`KeyMode`]).
-    /// `Fingerprint` (the default) probes on interned ids with zero
-    /// allocation; `Display` keeps the legacy rendered-string keys for
-    /// apples-to-apples benchmarking. Results are bit-identical.
-    pub key_mode: KeyMode,
     /// One sink for the whole pool; disabled by default (no-op, and the
     /// batch is bit-identical with it on or off).
     pub telemetry: Telemetry,
@@ -74,7 +69,6 @@ impl Default for BatchConfig {
             cache_save: None,
             sharding: Sharding::RoundRobin,
             prune: true,
-            key_mode: KeyMode::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -213,12 +207,11 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
     };
     let tel = &config.telemetry;
     let cache = config.shared_cache.then(|| {
-        let shards = if config.cache_shards == 0 {
-            (workers * 4).next_power_of_two()
-        } else {
-            config.cache_shards
+        let shards = match config.cache_shards {
+            0 => SharedLegalityCache::auto_shards(workers),
+            n => n,
         };
-        SharedLegalityCache::with_config(config.cache_capacity, shards, config.key_mode)
+        SharedLegalityCache::with_shards(config.cache_capacity, shards)
     });
     // Warm start. Any failure — unreadable file, bad magic/version,
     // truncation, checksum mismatch, malformed payload — degrades to a
@@ -418,7 +411,6 @@ pub fn execute_job(
         catalog: job.catalog.clone(),
         max_steps: job.max_steps,
         beam_width: job.beam_width,
-        threads: 1,
         prune: opts.prune,
         telemetry: opts.telemetry.clone(),
         shared: cache.cloned(),
@@ -499,31 +491,15 @@ mod tests {
     }
 
     #[test]
-    fn key_modes_agree_and_surface_in_json() {
-        let jobs = demo_corpus(8);
-        let fp = run_batch(&jobs, &serial());
-        let legacy = run_batch(
-            &jobs,
-            &BatchConfig {
-                key_mode: KeyMode::Display,
-                ..serial()
-            },
-        );
-        for (a, b) in fp.jobs.iter().zip(&legacy.jobs) {
-            assert_eq!(a.best.seq.to_string(), b.best.seq.to_string());
-            assert_eq!(a.best.score.to_bits(), b.best.score.to_bits());
-            assert_eq!(a.explored, b.explored);
-        }
-        let s = fp.cache.expect("cache on by default");
-        assert!(s.key_probes > 0, "{s}");
-        assert!(s.interned_values > 0, "{s}");
+    fn key_counters_surface_in_json() {
+        let r = run_batch(&demo_corpus(8), &serial());
+        let s = r.cache.expect("cache on by default");
         assert_eq!(s.interner_collisions, 0, "{s}");
-        // Legacy string keys never touch the interner pools.
-        let l = legacy.cache.expect("cache on by default");
-        assert_eq!(l.interned_values, 0, "{l}");
-        let j = fp.to_json();
-        assert!(j.get_path(&["cache", "key_probes"]).is_some());
-        assert!(j.get_path(&["cache", "interned"]).is_some());
+        let j = r.to_json();
+        for field in ["key_probes", "interned"] {
+            let n = j.get_path(&["cache", field]).and_then(Json::as_i64);
+            assert!(n.is_some_and(|n| n > 0), "cache.{field}: {n:?}");
+        }
     }
 
     #[test]

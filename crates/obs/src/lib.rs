@@ -9,8 +9,8 @@
 //! the `irlt-cachesim` counters — all thread the same handle, so one
 //! [`Report`] shows why a search returned what it did: per-depth
 //! candidate accounting, legality-cache hits, fail-fast short-circuits,
-//! the `2^(j−i+1)` Block/Interleave image fan-out histogram, and thread
-//! fan-out / merge timings.
+//! the `2^(j−i+1)` Block/Interleave image fan-out histogram, and
+//! expand / merge timings.
 //!
 //! Guarantee: a disabled handle records nothing and never influences
 //! control flow, so results are bit-identical with telemetry on or off

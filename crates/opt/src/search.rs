@@ -12,10 +12,10 @@
 //! one by a template costs O(one template) instead of replaying the whole
 //! sequence. A legal child is scored in place and kept as it is; the
 //! public [`Candidate`] is built once, for the winner. Frontier expansion
-//! optionally fans out across `std::thread::scope` workers; outcomes are
-//! merged in deterministic (state, move) order, so the result is
-//! bit-identical to the serial path. [`TransformSeq::is_legal`] stays the
-//! paper-literal oracle the engine is tested against.
+//! is serial and merges in (state, move) order; parallelism lives across
+//! jobs (the batch driver and the server), not within one search.
+//! [`TransformSeq::is_legal`] stays the paper-literal oracle the engine is
+//! tested against.
 
 use crate::cancel::CancelToken;
 use crate::goal::Goal;
@@ -39,10 +39,6 @@ pub struct SearchConfig {
     pub max_steps: usize,
     /// States kept per depth.
     pub beam_width: usize,
-    /// Worker threads for frontier expansion: `1` is fully serial, `0`
-    /// uses one worker per available core. Results are bit-identical for
-    /// every thread count (deterministic merge order).
-    pub threads: usize,
     /// Subsumption-prune cached dependence sets (exact for the built-in
     /// templates the catalog generates).
     pub prune: bool,
@@ -52,9 +48,8 @@ pub struct SearchConfig {
     /// never influences control flow. With an enabled handle the search
     /// records per-depth beam statistics (`search/depth.N/*`: candidates
     /// generated, rejection taxonomy, shape dedups, beam occupancy, the
-    /// goal-score distribution), thread fan-out and expand/merge
-    /// timings, and — through [`SeqState`] — the legality-cache and
-    /// dependence-mapping counters.
+    /// goal-score distribution), expand/merge timings, and — through
+    /// [`SeqState`] — the legality-cache and dependence-mapping counters.
     pub telemetry: Telemetry,
     /// Cross-nest shared legality cache: when set, every candidate extension consults the batch-wide memo table
     /// before recomputing, and deposits what it computes. Replay is
@@ -80,7 +75,6 @@ impl Default for SearchConfig {
             catalog: MoveCatalog::default(),
             max_steps: 3,
             beam_width: 8,
-            threads: 1,
             prune: true,
             telemetry: Telemetry::disabled(),
             shared: None,
@@ -189,7 +183,7 @@ fn score_state(state: &SeqState, nest: &LoopNest, goal: &Goal, tel: &Telemetry) 
 }
 
 /// Everything one extension evaluation needs besides the `(state, move)`
-/// pair itself — shared read-only across worker threads.
+/// pair itself.
 #[derive(Clone, Copy)]
 struct EvalCtx<'a> {
     nest: &'a LoopNest,
@@ -209,50 +203,21 @@ fn evaluate(parent: &Node, template: Template, ctx: EvalCtx<'_>) -> Outcome {
     }
 }
 
-/// Evaluates all `(state, move)` jobs, fanning out across scoped worker
-/// threads when asked to. Outcomes come back in job order regardless of
-/// thread count, so the merge downstream is deterministic.
-fn expand(
-    frontier: &[Node],
-    jobs: &[(usize, Template)],
-    ctx: EvalCtx<'_>,
-    threads: usize,
-) -> Vec<Outcome> {
-    let run = |slice: &[(usize, Template)]| -> Vec<Outcome> {
-        slice
-            .iter()
-            .map(|(si, t)| {
-                // Poll between evaluations, never within one: a fired
-                // token drains the remaining jobs as `Cancelled` so the
-                // depth winds down promptly but no work is torn mid-step.
-                if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
-                    Outcome::Cancelled
-                } else {
-                    evaluate(&frontier[*si], t.clone(), ctx)
-                }
-            })
-            .collect()
-    };
-    if threads <= 1 || jobs.len() <= 1 {
-        return run(jobs);
-    }
-    let chunk = jobs.len().div_ceil(threads);
-    if ctx.tel.is_enabled() {
-        ctx.tel.incr("search/expand/parallel_rounds");
-        ctx.tel
-            .observe("search/expand/workers", jobs.len().div_ceil(chunk) as f64);
-    }
-    let mut out = Vec::with_capacity(jobs.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|c| s.spawn(move || run(c)))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("search worker panicked"));
-        }
-    });
-    out
+/// Evaluates all `(state, move)` jobs in order, so the merge downstream
+/// is deterministic.
+fn expand(frontier: &[Node], jobs: &[(usize, Template)], ctx: EvalCtx<'_>) -> Vec<Outcome> {
+    jobs.iter()
+        .map(|(si, t)| {
+            // Poll between evaluations, never within one: a fired token
+            // drains the remaining jobs as `Cancelled` so the depth winds
+            // down promptly but no work is torn mid-step.
+            if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
+                Outcome::Cancelled
+            } else {
+                evaluate(&frontier[*si], t.clone(), ctx)
+            }
+        })
+        .collect()
 }
 
 /// Searches for the best legal transformation of `nest` under `goal`.
@@ -295,13 +260,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
     }
     .unwrap_or(f64::NEG_INFINITY);
     let root = Node { state, score };
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        config.threads
-    };
     if tel.is_enabled() {
-        tel.count("search/threads", threads as u64);
         tel.count("search/beam_width", config.beam_width as u64);
         tel.count("search/max_steps", config.max_steps as u64);
     }
@@ -339,7 +298,7 @@ pub fn search(nest: &LoopNest, deps: &DepSet, goal: &Goal, config: &SearchConfig
             cancel: config.cancel.as_ref(),
         };
         let expand_start = tel.is_enabled().then(Instant::now);
-        let outcomes = expand(&frontier, &jobs, ctx, threads);
+        let outcomes = expand(&frontier, &jobs, ctx);
         let merge_start = tel.is_enabled().then(Instant::now);
         // Per-depth beam statistics, accumulated in plain locals so the
         // merge loop never touches the sink, then recorded once per depth.
@@ -544,8 +503,7 @@ mod tests {
         assert!(s.contains("candidates tested"), "{s}");
     }
 
-    /// Every pruning/thread/cache combination used below must agree
-    /// bit-for-bit.
+    /// Every pruning/cache combination used below must agree bit-for-bit.
     fn run_all_modes(
         nest: &LoopNest,
         deps: &DepSet,
@@ -553,10 +511,9 @@ mod tests {
         base: &SearchConfig,
     ) -> Vec<SearchResult> {
         let mut out = Vec::new();
-        for (prune, threads) in [(false, 1), (true, 1), (true, 4), (true, 0)] {
+        for prune in [false, true] {
             let cfg = SearchConfig {
                 prune,
-                threads,
                 ..base.clone()
             };
             out.push(search(nest, deps, goal, &cfg));
@@ -596,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_and_thread_counts_bit_identical_on_stencil() {
+    fn engines_and_caches_bit_identical_on_stencil() {
         let nest = parse_nest(
             "do i = 2, n - 1\n do j = 2, n - 1\n  a(i, j) = a(i - 1, j) + a(i, j - 1)\n enddo\nenddo",
         )
@@ -614,7 +571,7 @@ mod tests {
     #[test]
     fn matmul_deep_config_matches_pre_cache_serial_path() {
         // The acceptance configuration: Fig. 6 matmul, max_steps 5,
-        // beam 16. Pruned, parallel and cached searches must return
+        // beam 16. Pruned and cached searches must return
         // exactly the unpruned serial result (best sequence AND
         // counters).
         let nest = parse_nest(
@@ -739,24 +696,6 @@ mod tests {
         assert!(r.counter("legality/cache/hits") > 0, "{r:?}");
         assert!(r.spans.contains_key("search/expand"), "{r:?}");
         assert!(r.stats.contains_key("search/score"), "{r:?}");
-    }
-
-    #[test]
-    fn parallel_expansion_records_worker_fanout() {
-        let nest =
-            parse_nest("do i = 2, n\n do j = 1, m\n  a(i, j) = a(i - 1, j) + 1\n enddo\nenddo")
-                .unwrap();
-        let deps = analyze_dependences(&nest);
-        let tel = Telemetry::enabled();
-        let cfg = SearchConfig {
-            threads: 4,
-            telemetry: tel.clone(),
-            ..SearchConfig::default()
-        };
-        search(&nest, &deps, &Goal::OuterParallel, &cfg);
-        let r = tel.report();
-        assert!(r.counter("search/expand/parallel_rounds") > 0, "{r:?}");
-        assert!(r.stats["search/expand/workers"].max <= 4.0, "{r:?}");
     }
 
     #[test]

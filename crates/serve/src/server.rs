@@ -484,12 +484,11 @@ impl ServerHandle {
 fn build_inner(cfg: ServeConfig, workers: usize, socket: Option<PathBuf>) -> Inner {
     let tel = cfg.telemetry.clone();
     let cache = cfg.shared_cache.then(|| {
-        let shards = if cfg.cache_shards == 0 {
-            (workers * 4).next_power_of_two()
-        } else {
-            cfg.cache_shards
+        let shards = match cfg.cache_shards {
+            0 => SharedLegalityCache::auto_shards(workers),
+            n => n,
         };
-        SharedLegalityCache::with_config(cfg.cache_capacity, shards, irlt_core::KeyMode::default())
+        SharedLegalityCache::with_shards(cfg.cache_capacity, shards)
     });
     // Warm start, with irlt-batch's degradation contract: any rejected
     // snapshot means a cold start, never a refusal to serve.

@@ -13,7 +13,7 @@
 //! * **Generation cap**: at most `keep_generations` rotated files
 //!   exist besides the live one.
 
-use irlt::core::{generation_path, KeyMode, SharedLegalityCache};
+use irlt::core::{generation_path, SharedLegalityCache};
 use irlt::driver::{demo_corpus, execute_job, ExecOptions};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +27,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn cache() -> SharedLegalityCache {
-    SharedLegalityCache::with_config(1 << 16, 8, KeyMode::Fingerprint)
+    SharedLegalityCache::with_shards(1 << 16, 8)
 }
 
 /// Loads `bytes` into a fresh cache and re-saves; the snapshot format
