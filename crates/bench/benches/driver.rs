@@ -5,8 +5,9 @@
 //!
 //! Three effects are measured:
 //!
-//! * **Sharding** (`t1` vs `t4`/`t8`) — wall-clock scaling from the
-//!   work-stealing pool; only meaningful on multi-core hosts.
+//! * **Thread scaling** (`t1` vs `t4`/`t8`) — wall-clock scaling from
+//!   the workers pulling one FIFO queue; only meaningful on multi-core
+//!   hosts.
 //! * **Cross-nest sharing** (`fresh` vs `t1`) — algorithmic savings from
 //!   replaying legality subproblems across structurally identical nests,
 //!   independent of core count. The demo corpus repeats each of its 8

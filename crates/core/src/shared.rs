@@ -29,7 +29,7 @@
 //! the probe path; interning happens once per *state* (not per probe),
 //! and cross-nest hits share one `Arc` per distinct shape and mapped set.
 //!
-//! # Sharding
+//! # Lock striping
 //!
 //! The memo table is split into `N` lock-striped shards (`N` a power of
 //! two). A probe hashes its key through [`irlt_dependence::fp128`] and
@@ -339,8 +339,8 @@ pub(crate) struct Entry {
 /// shared across every job of a batch run.
 ///
 /// Cloning is cheap (an [`Arc`] bump); all clones observe one table and
-/// one set of counters. See the [module docs](self) for the key design,
-/// the sharding layout, and the exactness argument.
+/// one set of counters. The key design, the sharding layout, and the
+/// exactness argument are in the module docs of `shared.rs`.
 ///
 /// [`SeqState`]: crate::SeqState
 ///

@@ -15,7 +15,7 @@
 //! 128-bit structural fingerprint, and **every** bucket hit is verified
 //! with an exact `==` comparison before an id is reused. A fingerprint
 //! collision therefore costs one extra comparison (observable in
-//! [`Interner::collision_misses`]) but can never alias two distinct
+//! [`InternerStats::collision_misses`]) but can never alias two distinct
 //! values to one id. See [`crate::fingerprint`] for why 128 bits.
 //!
 //! # Id stability

@@ -1,29 +1,14 @@
-//! The batch runner: shard, steal, search, aggregate.
+//! The batch runner: admit every job, drain the queue, aggregate.
 
-use crate::job::{Job, JobResult, JobStatus};
-use crate::pool::WorkQueues;
+use crate::engine::{cache_stats_json, execute_job, open_cache, ExecOptions};
+use crate::job::{Job, JobResult};
+use crate::queue::{resolve_workers, run_workers, Admission};
 use irlt_core::{SharedCacheStats, SharedLegalityCache, SnapshotLoadStats};
-use irlt_dependence::analyze_dependences;
 use irlt_obs::{Json, Telemetry};
-use irlt_opt::{search, CancelToken, SearchConfig};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// How jobs are distributed over the worker queues before the pool
-/// starts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sharding {
-    /// Job `k` starts on worker `k mod workers` — balanced, steals only
-    /// correct imbalance in job *cost*.
-    #[default]
-    RoundRobin,
-    /// Every job starts on worker 0 — maximally unbalanced, so every
-    /// other worker must steal to contribute. Useful for exercising the
-    /// stealing path deterministically; results are identical either way.
-    Single,
-}
 
 /// Batch-level configuration (per-job settings live on [`Job`]).
 #[derive(Clone, Debug)]
@@ -49,8 +34,6 @@ pub struct BatchConfig {
     /// Save the shared cache as an `irlt-cache/v1` snapshot after the
     /// batch, so the next run can `cache_load` it.
     pub cache_save: Option<PathBuf>,
-    /// Initial job distribution.
-    pub sharding: Sharding,
     /// Subsumption pruning of cached dependence sets.
     pub prune: bool,
     /// One sink for the whole pool; disabled by default (no-op, and the
@@ -67,7 +50,6 @@ impl Default for BatchConfig {
             cache_shards: 0,
             cache_load: None,
             cache_save: None,
-            sharding: Sharding::RoundRobin,
             prune: true,
             telemetry: Telemetry::disabled(),
         }
@@ -79,9 +61,11 @@ impl Default for BatchConfig {
 pub struct BatchResult {
     /// Per-job results **in submission order** (never scheduler order).
     pub jobs: Vec<JobResult>,
-    /// Worker threads the pool actually ran.
+    /// Worker threads the batch actually ran.
     pub workers: usize,
-    /// Successful steals across the run.
+    /// Always 0: workers pull from one FIFO queue, so nothing is ever
+    /// stolen. Kept only because the end-to-end benchmark still reads
+    /// it for its `driver.steals` row; it goes when that row is retired.
     pub steals: u64,
     /// Shared-cache counters, when the cache was enabled.
     pub cache: Option<SharedCacheStats>,
@@ -106,47 +90,13 @@ impl BatchResult {
     }
 
     /// One JSON artifact describing the whole run: per-job results,
-    /// pool/steal counters, cache stats, and wall time. Pairs with the
+    /// worker count, cache stats, and wall time. Pairs with the
     /// telemetry report (`Telemetry::report().to_json()`) for the full
     /// picture.
     pub fn to_json(&self) -> Json {
-        let cache = match &self.cache {
-            None => Json::Null,
-            Some(s) => Json::Object(vec![
-                ("hits".into(), Json::Int(s.hits as i64)),
-                ("cross_hits".into(), Json::Int(s.cross_hits as i64)),
-                ("misses".into(), Json::Int(s.misses as i64)),
-                ("inserts".into(), Json::Int(s.inserts as i64)),
-                ("evictions".into(), Json::Int(s.evictions as i64)),
-                ("entries".into(), Json::Int(s.entries as i64)),
-                ("shards".into(), Json::Int(s.shards as i64)),
-                ("contended".into(), Json::Int(s.contended as i64)),
-                (
-                    "snapshot_entries".into(),
-                    Json::Int(s.snapshot_entries as i64),
-                ),
-                ("snapshot_hits".into(), Json::Int(s.snapshot_hits as i64)),
-                (
-                    "snapshot_rejected".into(),
-                    Json::Bool(self.snapshot_rejected),
-                ),
-                ("key_probes".into(), Json::Int(s.key_probes as i64)),
-                ("interned".into(), Json::Int(s.interned_values as i64)),
-                ("interner_hits".into(), Json::Int(s.interner_hits as i64)),
-                (
-                    "interner_verifies".into(),
-                    Json::Int(s.interner_verifies as i64),
-                ),
-                (
-                    "interner_collisions".into(),
-                    Json::Int(s.interner_collisions as i64),
-                ),
-            ]),
-        };
         Json::Object(vec![
             ("schema".into(), Json::Str("irlt-batch/v1".into())),
             ("workers".into(), Json::Int(self.workers as i64)),
-            ("steals".into(), Json::Int(self.steals as i64)),
             ("wall_ms".into(), Json::Float(self.wall.as_secs_f64() * 1e3)),
             (
                 "summary".into(),
@@ -156,7 +106,10 @@ impl BatchResult {
                     ("timed_out".into(), Json::Int(self.timed_out() as i64)),
                 ]),
             ),
-            ("cache".into(), cache),
+            (
+                "cache".into(),
+                cache_stats_json(self.cache.as_ref(), self.snapshot_rejected),
+            ),
             (
                 "jobs".into(),
                 Json::Array(self.jobs.iter().map(JobResult::to_json).collect()),
@@ -169,13 +122,12 @@ impl fmt::Display for BatchResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} job(s) on {} worker(s) in {:.1} ms: {} completed, {} timed out, {} steal(s)",
+            "{} job(s) on {} worker(s) in {:.1} ms: {} completed, {} timed out",
             self.jobs.len(),
             self.workers,
             self.wall.as_secs_f64() * 1e3,
             self.completed(),
-            self.timed_out(),
-            self.steals
+            self.timed_out()
         )?;
         if let Some(s) = &self.cache {
             write!(f, "; cache: {s}")?;
@@ -189,90 +141,58 @@ impl fmt::Display for BatchResult {
     }
 }
 
-/// Runs every job to a result, sharded across a work-stealing pool.
+/// Runs every job to a result on a pool of workers pulling from one
+/// FIFO [`Admission`] queue — the queue `irlt-serve` admits requests
+/// through, here pre-filled with every job and closed.
 ///
 /// Per-job results are **deterministic**: bit-identical across worker
-/// counts, submission orders, sharding policies, cache capacities, and
-/// telemetry on/off. Jobs with deadlines come back as
-/// [`JobStatus::TimedOut`] holding the best legal candidate found in
-/// budget; everything else in the batch is unaffected. All workers are
-/// joined before this returns (`std::thread::scope` — no thread leaks,
-/// even if a job panics).
+/// counts, submission orders, cache capacities, and telemetry on/off.
+/// Jobs with deadlines come back as [`JobStatus::TimedOut`] holding
+/// the best legal candidate found in budget; everything else in the
+/// batch is unaffected. All workers are joined before this returns
+/// (`std::thread::scope` — no thread leaks, even if a job panics).
+///
+/// [`JobStatus::TimedOut`]: crate::JobStatus::TimedOut
 pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
     let start = Instant::now();
-    let workers = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        config.threads
-    };
+    let workers = resolve_workers(config.threads);
     let tel = &config.telemetry;
-    let cache = config.shared_cache.then(|| {
-        let shards = match config.cache_shards {
-            0 => SharedLegalityCache::auto_shards(workers),
-            n => n,
-        };
-        SharedLegalityCache::with_shards(config.cache_capacity, shards)
-    });
-    // Warm start. Any failure — unreadable file, bad magic/version,
-    // truncation, checksum mismatch, malformed payload — degrades to a
-    // cold start with the cache untouched.
-    let mut snapshot = None;
-    let mut snapshot_rejected = false;
-    if let (Some(cache), Some(path)) = (&cache, &config.cache_load) {
-        let loaded = std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| cache.load_snapshot(&bytes).map_err(|e| e.to_string()));
-        match loaded {
-            Ok(stats) => snapshot = Some(stats),
-            Err(why) => {
-                eprintln!(
-                    "warning: cache snapshot {} rejected ({why}); starting cold",
-                    path.display()
-                );
-                snapshot_rejected = true;
-                if tel.is_enabled() {
-                    tel.incr("driver/cache/snapshot_rejected");
-                }
-            }
-        }
+    let engine = open_cache(
+        config.shared_cache,
+        config.cache_capacity,
+        config.cache_shards,
+        workers,
+        config.cache_load.as_deref(),
+    );
+    if engine.snapshot_rejected && tel.is_enabled() {
+        tel.incr("driver/cache/snapshot_rejected");
     }
-    let queues = WorkQueues::new(workers);
-    for (k, _) in jobs.iter().enumerate() {
-        match config.sharding {
-            Sharding::RoundRobin => queues.push(k, k),
-            Sharding::Single => queues.push(0, k),
-        }
+    let cache = engine.cache;
+    let queue = Admission::new(jobs.len());
+    for k in 0..jobs.len() {
+        queue.offer(k).expect("the queue holds the whole batch");
     }
+    queue.drain();
     let slots: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::default()).collect();
-    // No worker pops until every worker exists: under Sharding::Single
-    // the thieves are guaranteed at least one look at a loaded queue.
-    let start_gate = std::sync::Barrier::new(queues.workers());
-    std::thread::scope(|scope| {
-        for w in 0..queues.workers() {
-            let queues = &queues;
-            let slots = &slots;
-            let gate = &start_gate;
-            let cache = cache.clone();
-            scope.spawn(move || {
-                gate.wait();
-                let opts = ExecOptions {
-                    prune: config.prune,
-                    telemetry: config.telemetry.clone(),
-                    cancel: None,
-                };
-                while let Some(popped) = queues.pop(w) {
-                    if tel.is_enabled() {
-                        tel.observe("driver/queue_depth", queues.remaining() as f64);
-                    }
-                    let job = &jobs[popped.job];
-                    let result = execute_job(job, popped.job as u64, w, cache.as_ref(), &opts);
-                    *slots[popped.job]
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(result);
-                }
-            });
-        }
-    });
+    let opts = ExecOptions {
+        prune: config.prune,
+        telemetry: config.telemetry.clone(),
+        cancel: None,
+    };
+    run_workers(
+        workers,
+        &queue,
+        |w, k| {
+            if tel.is_enabled() {
+                tel.observe("driver/queue_depth", queue.depth() as f64);
+            }
+            let result = execute_job(&jobs[k], k as u64, w, cache.as_ref(), &opts);
+            *slots[k]
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(result);
+        },
+        || (),
+    );
     let results: Vec<JobResult> = slots
         .into_iter()
         .map(|slot| {
@@ -281,13 +201,11 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
                 .expect("every queued job ran exactly once")
         })
         .collect();
-    let steals = queues.steals();
     let cache_stats = cache.as_ref().map(SharedLegalityCache::stats);
     let wall = start.elapsed();
     if tel.is_enabled() {
         tel.count("driver/jobs", results.len() as u64);
         tel.count("driver/workers", workers as u64);
-        tel.count("driver/steals", steals);
         tel.count(
             "driver/completed",
             results.iter().filter(|j| j.status.is_completed()).count() as u64,
@@ -348,89 +266,11 @@ pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchResult {
     BatchResult {
         jobs: results,
         workers,
-        steals,
+        steals: 0,
         cache: cache_stats,
-        snapshot,
-        snapshot_rejected,
+        snapshot: engine.snapshot,
+        snapshot_rejected: engine.snapshot_rejected,
         wall,
-    }
-}
-
-/// Engine settings for executing one job outside a batch — the
-/// *request adapter* long-lived services (`irlt-serve`) share with
-/// [`run_batch`]. Everything that affects results is here; everything
-/// that affects scheduling (threads, sharding, queues) is the caller's
-/// business.
-#[derive(Clone, Debug)]
-pub struct ExecOptions {
-    /// Subsumption pruning of cached dependence sets.
-    pub prune: bool,
-    /// Telemetry sink; disabled by default and bit-identical either way.
-    pub telemetry: Telemetry,
-    /// Cancellation override. When set, this token governs the search
-    /// instead of a fresh [`CancelToken::with_deadline`] built from
-    /// [`Job::deadline`] — a service arms the token at *admission* so
-    /// the SLO covers queueing, not just compute, and can also fire it
-    /// on client disconnect or drain.
-    pub cancel: Option<CancelToken>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            prune: true,
-            telemetry: Telemetry::disabled(),
-            cancel: None,
-        }
-    }
-}
-
-/// Executes one job: analyze dependences, arm the deadline, search
-/// serially (parallelism across jobs is the scheduler's job, not the
-/// engine's).
-///
-/// The result's deterministic fields are a pure function of the
-/// [`Job`] and the engine flags — independent of `owner`, `worker`,
-/// cache contents, and telemetry. A fired cancellation (deadline or
-/// [`ExecOptions::cancel`]) returns the best *legal* candidate found
-/// so far (at worst the identity) as [`JobStatus::TimedOut`]; it never
-/// panics or hangs.
-pub fn execute_job(
-    job: &Job,
-    owner: u64,
-    worker: usize,
-    cache: Option<&SharedLegalityCache>,
-    opts: &ExecOptions,
-) -> JobResult {
-    let deps = analyze_dependences(&job.nest);
-    let cancel = opts
-        .cancel
-        .clone()
-        .or_else(|| job.deadline.map(CancelToken::with_deadline));
-    let cfg = SearchConfig {
-        catalog: job.catalog.clone(),
-        max_steps: job.max_steps,
-        beam_width: job.beam_width,
-        prune: opts.prune,
-        telemetry: opts.telemetry.clone(),
-        shared: cache.cloned(),
-        owner,
-        cancel,
-    };
-    let start = Instant::now();
-    let r = search(&job.nest, &deps, &job.goal, &cfg);
-    JobResult {
-        name: job.name.clone(),
-        status: if r.timed_out {
-            JobStatus::TimedOut
-        } else {
-            JobStatus::Completed
-        },
-        best: r.best,
-        explored: r.explored,
-        legal: r.legal,
-        wall: start.elapsed(),
-        worker,
     }
 }
 
@@ -456,7 +296,6 @@ mod tests {
         assert_eq!(r.completed(), 6);
         assert_eq!(r.timed_out(), 0);
         assert_eq!(r.workers, 1);
-        assert_eq!(r.steals, 0);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub struct JobResult {
     pub legal: usize,
     /// Wall time the search took (nondeterministic).
     pub wall: Duration,
-    /// Which worker ran the job (nondeterministic under stealing).
+    /// Which worker ran the job (nondeterministic with several workers).
     pub worker: usize,
 }
 

@@ -5,8 +5,14 @@
 //! beam search into a batch driver:
 //!
 //! * [`Job`] — one nest plus its goal, search settings, and optional
-//!   deadline; [`run_batch`] shards jobs across a **work-stealing worker
-//!   pool** and returns one [`JobResult`] per job, in submission order.
+//!   deadline; [`run_batch`] admits every job into one FIFO
+//!   [`Admission`] queue, lets [`run_workers`] drain it, and returns one
+//!   [`JobResult`] per job, in submission order.
+//! * **One executor** — `irlt-serve` admits requests through the same
+//!   [`Admission`] queue, drains it with the same [`run_workers`], builds
+//!   its cache with the same [`open_cache`], and runs each request
+//!   through the same [`execute_job`], so served and batched results
+//!   agree because they come out of the same code.
 //! * **Deadlines + cooperative cancellation** — a job whose
 //!   [`CancelToken`](irlt_opt::CancelToken) fires returns its best-so-far
 //!   *legal* candidate with [`JobStatus::TimedOut`]; no panic, no hang,
@@ -18,11 +24,12 @@
 //!   On capacity pressure the cache sweeps a generation and jobs fall
 //!   back to scratch legality — verdict-identical by construction.
 //! * **Determinism** — per-job results are a pure function of the job:
-//!   independent of worker count, submission order, steal interleaving,
-//!   and cache state. The workspace's `tests/driver.rs` pins this
-//!   bit-for-bit at 1/4/8 threads and across shuffled submission orders.
+//!   independent of worker count, submission order, scheduling
+//!   interleaving, and cache state. The workspace's `tests/driver.rs`
+//!   pins this bit-for-bit at 1/2/4/8 threads and across shuffled
+//!   submission orders.
 //! * **Telemetry** — one [`Telemetry`](irlt_obs::Telemetry) handle
-//!   threads through the pool (`driver/steals`, `driver/queue_depth`,
+//!   threads through the workers (`driver/queue_depth`,
 //!   `driver/cache/cross_hits`, per-job wall-time histograms) and
 //!   [`BatchResult::to_json`] renders one JSON artifact describing the
 //!   whole run.
@@ -49,11 +56,14 @@
 
 mod batch;
 mod corpus;
+mod engine;
 mod job;
 mod manifest;
-mod pool;
+mod queue;
 
-pub use batch::{execute_job, run_batch, BatchConfig, BatchResult, ExecOptions, Sharding};
+pub use batch::{run_batch, BatchConfig, BatchResult};
 pub use corpus::demo_corpus;
+pub use engine::{cache_stats_json, execute_job, open_cache, EngineCache, ExecOptions};
 pub use job::{Job, JobResult, JobStatus};
 pub use manifest::{load_manifest, ManifestError};
+pub use queue::{resolve_workers, run_workers, Admission, Rejection};

@@ -22,7 +22,7 @@
 //! }
 //! ```
 //!
-//! * the `nest` section is [`LoopNest`]'s `Display` / [`parse_nest`]
+//! * the `nest` section is [`LoopNest`](irlt_ir::LoopNest)'s `Display` / [`parse_nest`]
 //!   round trip (the paper's `do`/`enddo` syntax);
 //! * the `deps` section is one [`DepVector`] `Display` / `FromStr`
 //!   round trip per line;

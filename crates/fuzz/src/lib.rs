@@ -9,7 +9,7 @@
 //!   rejection, dependence-mapping fan-out, oracle adjudication, or
 //!   beam-depth bucket no earlier input lit ([`coverage`]);
 //! * the harness generators and shrinker (`irlt-harness`) become the
-//!   **seed distribution** and the **minimizer** ([`mutate`],
+//!   **seed distribution** and the **minimizer** ([`mod@mutate`],
 //!   [`engine`]);
 //! * the cross-engine differential oracle (Table 2 vs `irlt-affine`)
 //!   remains the sole **adjudicator of correctness** — every input

@@ -2,11 +2,13 @@
 //!
 //! `irlt-batch` answers "optimize this corpus, then exit"; this crate
 //! answers "keep an optimizer warm and feed it requests". A
-//! [`Server`] owns a pool of workers over the exact batch engine
-//! ([`irlt_driver::execute_job`]) plus one shared legality cache, and
-//! speaks the newline-delimited-JSON [`protocol`] (`irlt-serve/v1`)
-//! over a Unix domain socket — or a stdio pair via
-//! [`serve_stream`]. Zero new dependencies: transport is
+//! [`Server`] runs the batch executor itself — the same [`Admission`]
+//! queue and worker loop ([`irlt_driver::run_workers`]), the same
+//! warm-started cache ([`irlt_driver::open_cache`]) and the same engine
+//! ([`irlt_driver::execute_job`]) — but admits requests as they arrive
+//! instead of all at once. It speaks the newline-delimited-JSON
+//! [`protocol`] (`irlt-serve/v1`) over a Unix domain socket — or a
+//! stdio pair via [`serve_stream`]. Zero new dependencies: transport is
 //! `std::os::unix::net`, framing is lines, encoding is
 //! [`irlt_obs::Json`].
 //!
@@ -15,7 +17,8 @@
 //! * **Served ≡ batched** — a request's deterministic result fields
 //!   are bit-identical to `irlt-batch` on the same nest: same `seq`,
 //!   same `score` bits, same `explored`/`legal` counts, at any client
-//!   concurrency, on a warm or cold cache.
+//!   concurrency, on a warm or cold cache. Both run the same executor,
+//!   and the soak confirms it end to end.
 //! * **Bounded admission** — the queue rejects above its high-water
 //!   mark with a typed `backpressure` event and a `retry_after_ms`
 //!   hint; admitted requests are *never* silently dropped (drain

@@ -1,17 +1,12 @@
 //! Bounded admission with explicit backpressure.
 //!
-//! The server admits work through one [`Admission`] queue:
-//!
-//! * [`Admission::offer`] either enqueues a [`Ticket`] (and reports the
-//!   resulting depth, for the `accepted` event) or rejects it with a
-//!   typed [`Rejection`] — **backpressure** above the high-water mark,
-//!   **draining** once shutdown has begun. Nothing ever blocks on
-//!   admission, so a full server answers instantly instead of letting
-//!   clients time out in an invisible queue.
-//! * [`Admission::next`] blocks workers until work, drain, or kill.
-//! * Once a ticket is admitted it is never silently dropped: a drain
-//!   finishes the whole queue, and a kill hands the unstarted remainder
-//!   back to the caller so each one can be rejected *explicitly*.
+//! The server admits work through one [`Admission`] queue of
+//! [`Ticket`]s — the same queue, re-exported from `irlt-driver`, that
+//! `run_batch` drains. [`Admission::offer`] answers at once with the
+//! depth (for the `accepted` event) or a typed [`Rejection`]
+//! (`backpressure` above the high-water mark, `draining` after
+//! shutdown), and a kill hands the unstarted tickets back so each is
+//! rejected *explicitly*.
 //!
 //! The accepted → started ordering contract is kept without doing
 //! socket I/O under the queue lock: each ticket carries a [`Gate`] the
@@ -20,8 +15,8 @@
 
 use crate::server::Sink;
 use irlt_driver::Job;
+pub use irlt_driver::{Admission, Rejection};
 use irlt_opt::CancelToken;
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -72,227 +67,9 @@ pub struct Ticket {
     pub admitted: Instant,
 }
 
-/// Why [`Admission::offer`] refused a ticket.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Rejection {
-    /// Queue at or above the high-water mark; retry after the
-    /// configured interval.
-    Backpressure,
-    /// The server is draining or killed; no new work.
-    Draining,
-}
-
-#[derive(Debug, Default)]
-struct State {
-    queue: VecDeque<Ticket>,
-    in_flight: usize,
-    draining: bool,
-    killed: bool,
-}
-
-/// The bounded admission queue shared by connections and workers.
-#[derive(Debug)]
-pub struct Admission {
-    state: Mutex<State>,
-    /// Wakes workers parked in [`Admission::next`].
-    takers: Condvar,
-    /// Wakes the drain waiter in [`Admission::await_drained`].
-    drained: Condvar,
-    high_water: usize,
-}
-
-impl Admission {
-    /// An empty queue that rejects (with backpressure) above
-    /// `high_water` queued-but-unstarted tickets.
-    pub fn new(high_water: usize) -> Admission {
-        Admission {
-            state: Mutex::default(),
-            takers: Condvar::new(),
-            drained: Condvar::new(),
-            high_water: high_water.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Admits `ticket` or rejects it; on admission returns the queue
-    /// depth including the new ticket. Never blocks.
-    pub fn offer(&self, ticket: Ticket) -> Result<usize, Rejection> {
-        let mut s = self.lock();
-        if s.draining || s.killed {
-            return Err(Rejection::Draining);
-        }
-        if s.queue.len() >= self.high_water {
-            return Err(Rejection::Backpressure);
-        }
-        s.queue.push_back(ticket);
-        let depth = s.queue.len();
-        self.takers.notify_one();
-        Ok(depth)
-    }
-
-    /// Blocks until a ticket is available (marking it in-flight) or the
-    /// queue is finished: `None` means drain-complete or killed, and
-    /// the worker should exit.
-    pub fn next(&self) -> Option<Ticket> {
-        let mut s = self.lock();
-        loop {
-            if s.killed {
-                return None;
-            }
-            if let Some(t) = s.queue.pop_front() {
-                s.in_flight += 1;
-                return Some(t);
-            }
-            if s.draining {
-                return None;
-            }
-            s = self.takers.wait(s).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Marks one in-flight ticket finished (workers call this after the
-    /// terminal event is sent).
-    pub fn finish(&self) {
-        let mut s = self.lock();
-        s.in_flight = s.in_flight.saturating_sub(1);
-        if s.queue.is_empty() && s.in_flight == 0 {
-            self.drained.notify_all();
-        }
-    }
-
-    /// Starts a graceful drain: admission closes, queued and in-flight
-    /// work still completes, idle workers wake up to exit.
-    pub fn drain(&self) {
-        let mut s = self.lock();
-        s.draining = true;
-        self.takers.notify_all();
-        if s.queue.is_empty() && s.in_flight == 0 {
-            self.drained.notify_all();
-        }
-    }
-
-    /// Hard stop: admission closes, workers exit at the next poll, and
-    /// the **unstarted** queue is handed back so every admitted ticket
-    /// can be rejected explicitly — admitted work is never silently
-    /// dropped, even on kill.
-    pub fn kill(&self) -> Vec<Ticket> {
-        let mut s = self.lock();
-        s.killed = true;
-        s.draining = true;
-        let orphans = std::mem::take(&mut s.queue).into();
-        self.takers.notify_all();
-        self.drained.notify_all();
-        orphans
-    }
-
-    /// Blocks until the queue is empty **and** nothing is in flight.
-    /// Call [`Admission::drain`] first or this can wait forever.
-    pub fn await_drained(&self) {
-        let mut s = self.lock();
-        while !s.killed && (!s.queue.is_empty() || s.in_flight > 0) {
-            s = self.drained.wait(s).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Tickets queued but not yet started.
-    pub fn depth(&self) -> usize {
-        self.lock().queue.len()
-    }
-
-    /// Tickets queued plus in flight.
-    pub fn pending(&self) -> usize {
-        let s = self.lock();
-        s.queue.len() + s.in_flight
-    }
-
-    /// Whether drain (or kill) has begun.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irlt_ir::parse_nest;
-    use irlt_opt::Goal;
-
-    fn ticket(id: &str) -> Ticket {
-        let nest = parse_nest("do i = 1, n\n a(i) = 0\nenddo").unwrap();
-        Ticket {
-            id: id.into(),
-            job: Job::new(id, nest, Goal::OuterParallel),
-            cancel: CancelToken::new(),
-            sink: Arc::new(Sink::discard()),
-            gate: Arc::new(Gate::new()),
-            admitted: Instant::now(),
-        }
-    }
-
-    #[test]
-    fn high_water_mark_rejects_with_backpressure() {
-        let q = Admission::new(2);
-        assert_eq!(q.offer(ticket("a")).unwrap(), 1);
-        assert_eq!(q.offer(ticket("b")).unwrap(), 2);
-        assert_eq!(q.offer(ticket("c")).unwrap_err(), Rejection::Backpressure);
-        // Popping one frees a slot.
-        let t = q.next().unwrap();
-        assert_eq!(t.id, "a");
-        assert_eq!(q.offer(ticket("c")).unwrap(), 2);
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.pending(), 3);
-    }
-
-    #[test]
-    fn drain_rejects_new_work_but_finishes_the_queue() {
-        let q = Admission::new(8);
-        q.offer(ticket("a")).unwrap();
-        q.drain();
-        assert!(q.is_draining());
-        assert_eq!(q.offer(ticket("b")).unwrap_err(), Rejection::Draining);
-        // The queued ticket still comes out; then workers see None.
-        assert_eq!(q.next().unwrap().id, "a");
-        q.finish();
-        assert!(q.next().is_none());
-        q.await_drained();
-    }
-
-    #[test]
-    fn kill_returns_the_unstarted_remainder() {
-        let q = Admission::new(8);
-        q.offer(ticket("a")).unwrap();
-        q.offer(ticket("b")).unwrap();
-        assert_eq!(q.next().unwrap().id, "a"); // in flight
-        let orphans = q.kill();
-        let ids: Vec<&str> = orphans.iter().map(|t| t.id.as_str()).collect();
-        assert_eq!(ids, ["b"]);
-        assert!(q.next().is_none());
-        assert_eq!(q.offer(ticket("c")).unwrap_err(), Rejection::Draining);
-    }
-
-    #[test]
-    fn drain_wakes_parked_workers() {
-        let q = Arc::new(Admission::new(4));
-        let worker = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut served = 0;
-                while let Some(_t) = q.next() {
-                    served += 1;
-                    q.finish();
-                }
-                served
-            })
-        };
-        q.offer(ticket("a")).unwrap();
-        q.offer(ticket("b")).unwrap();
-        q.drain();
-        q.await_drained();
-        assert_eq!(worker.join().unwrap(), 2);
-    }
 
     #[test]
     fn gate_orders_accept_before_start() {

@@ -5,8 +5,10 @@
 //! drain) or the handle is [`killed`](ServerHandle::kill). Each
 //! connection gets a reader thread; each request flows
 //! connection-thread → [`Admission`] queue → worker → back out through
-//! the connection's [`Sink`]. The workers reuse the exact batch engine
-//! ([`irlt_driver::execute_job`]) over one shared legality cache, so a
+//! the connection's [`Sink`]. The queue, the worker loop
+//! ([`irlt_driver::run_workers`]), the warm-started cache
+//! ([`irlt_driver::open_cache`]) and the per-request engine
+//! ([`irlt_driver::execute_job`]) are the ones `irlt-batch` runs, so a
 //! served result is bit-identical to what `irlt-batch` computes for the
 //! same nest.
 //!
@@ -32,7 +34,10 @@
 use crate::protocol::{Event, RejectReason, Request};
 use crate::queue::{Admission, Gate, Rejection, Ticket};
 use irlt_core::{SharedCacheStats, SharedLegalityCache, SnapshotLoadStats};
-use irlt_driver::{execute_job, ExecOptions, Job, JobStatus};
+use irlt_driver::{
+    cache_stats_json, execute_job, open_cache, resolve_workers, run_workers, ExecOptions, Job,
+    JobStatus,
+};
 use irlt_obs::{Json, Telemetry};
 use irlt_opt::CancelToken;
 use std::io::{BufRead, BufReader, Write};
@@ -272,7 +277,7 @@ impl Sink {
 struct Inner {
     cfg: ServeConfig,
     socket: Option<PathBuf>,
-    admission: Admission,
+    admission: Admission<Ticket>,
     cache: Option<SharedLegalityCache>,
     tel: Telemetry,
     owner: AtomicU64,
@@ -322,21 +327,10 @@ impl Inner {
     }
 
     /// The `stats` event payload: live counters plus cache statistics
-    /// (same field names as the `irlt-batch` artifact's `cache` object,
-    /// so tooling reads both).
+    /// (the `irlt-batch` artifact's `cache` object, rendered by the same
+    /// [`cache_stats_json`], so tooling reads both).
     fn stats_json(&self) -> Json {
         let s = self.summary();
-        let cache = match &s.cache {
-            None => Json::Null,
-            Some(c) => {
-                let mut fields = cache_stats_fields(c);
-                fields.push((
-                    "snapshot_rejected".into(),
-                    Json::Bool(self.snapshot_rejected),
-                ));
-                Json::Object(fields)
-            }
-        };
         Json::Object(vec![
             ("schema".into(), Json::Str(crate::protocol::SCHEMA.into())),
             (
@@ -370,30 +364,12 @@ impl Inner {
                 Json::Int(s.cancelled_by_disconnect as i64),
             ),
             ("rotations".into(), Json::Int(s.rotations as i64)),
-            ("cache".into(), cache),
+            (
+                "cache".into(),
+                cache_stats_json(s.cache.as_ref(), s.snapshot_rejected),
+            ),
         ])
     }
-}
-
-/// The shared-cache counter object (shared shape with `irlt-batch`).
-fn cache_stats_fields(s: &SharedCacheStats) -> Vec<(String, Json)> {
-    vec![
-        ("hits".into(), Json::Int(s.hits as i64)),
-        ("cross_hits".into(), Json::Int(s.cross_hits as i64)),
-        ("misses".into(), Json::Int(s.misses as i64)),
-        ("inserts".into(), Json::Int(s.inserts as i64)),
-        ("evictions".into(), Json::Int(s.evictions as i64)),
-        ("entries".into(), Json::Int(s.entries as i64)),
-        ("shards".into(), Json::Int(s.shards as i64)),
-        ("contended".into(), Json::Int(s.contended as i64)),
-        (
-            "snapshot_entries".into(),
-            Json::Int(s.snapshot_entries as i64),
-        ),
-        ("snapshot_hits".into(), Json::Int(s.snapshot_hits as i64)),
-        ("key_probes".into(), Json::Int(s.key_probes as i64)),
-        ("interned".into(), Json::Int(s.interned_values as i64)),
-    ]
 }
 
 /// A running server.
@@ -413,11 +389,7 @@ impl Server {
     pub fn spawn(cfg: ServeConfig, socket: &Path) -> std::io::Result<ServerHandle> {
         let _ = std::fs::remove_file(socket);
         let listener = UnixListener::bind(socket)?;
-        let workers = if cfg.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            cfg.workers
-        };
+        let workers = resolve_workers(cfg.workers);
         let inner = Arc::new(build_inner(cfg, workers, Some(socket.to_path_buf())));
         let main = {
             let inner = Arc::clone(&inner);
@@ -483,39 +455,22 @@ impl ServerHandle {
 
 fn build_inner(cfg: ServeConfig, workers: usize, socket: Option<PathBuf>) -> Inner {
     let tel = cfg.telemetry.clone();
-    let cache = cfg.shared_cache.then(|| {
-        let shards = match cfg.cache_shards {
-            0 => SharedLegalityCache::auto_shards(workers),
-            n => n,
-        };
-        SharedLegalityCache::with_shards(cfg.cache_capacity, shards)
-    });
     // Warm start, with irlt-batch's degradation contract: any rejected
     // snapshot means a cold start, never a refusal to serve.
-    let mut snapshot_loaded = None;
-    let mut snapshot_rejected = false;
-    if let (Some(cache), Some(path)) = (&cache, &cfg.cache_load) {
-        let loaded = std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| cache.load_snapshot(&bytes).map_err(|e| e.to_string()));
-        match loaded {
-            Ok(stats) => snapshot_loaded = Some(stats),
-            Err(why) => {
-                eprintln!(
-                    "warning: cache snapshot {} rejected ({why}); serving cold",
-                    path.display()
-                );
-                snapshot_rejected = true;
-                if tel.is_enabled() {
-                    tel.incr("serve/snapshot/load_rejected");
-                }
-            }
-        }
+    let engine = open_cache(
+        cfg.shared_cache,
+        cfg.cache_capacity,
+        cfg.cache_shards,
+        workers,
+        cfg.cache_load.as_deref(),
+    );
+    if engine.snapshot_rejected && tel.is_enabled() {
+        tel.incr("serve/snapshot/load_rejected");
     }
     Inner {
         admission: Admission::new(cfg.queue_high_water),
         socket,
-        cache,
+        cache: engine.cache,
         tel,
         owner: AtomicU64::new(0),
         finished: AtomicU64::new(0),
@@ -535,8 +490,8 @@ fn build_inner(cfg: ServeConfig, workers: usize, socket: Option<PathBuf>) -> Inn
         killed: AtomicBool::new(false),
         rotate: Mutex::new(()),
         conns: Mutex::new(Vec::new()),
-        snapshot_loaded,
-        snapshot_rejected,
+        snapshot_loaded: engine.snapshot,
+        snapshot_rejected: engine.snapshot_rejected,
         cfg,
     }
 }
@@ -548,11 +503,23 @@ fn wake_accept(path: &Path) {
 }
 
 fn run_server(inner: &Arc<Inner>, listener: &UnixListener, workers: usize) {
-    let mut worker_handles = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let inner = Arc::clone(inner);
-        worker_handles.push(std::thread::spawn(move || worker_loop(&inner, w)));
+    run_workers(
+        workers,
+        &inner.admission,
+        |w, ticket| serve_one(inner, w, ticket),
+        || accept_loop(inner, listener),
+    );
+    // Graceful exits persist the warmed cache one last time.
+    if !inner.killed.load(Ordering::Acquire) {
+        final_snapshot(inner);
     }
+    if let Some(path) = &inner.socket {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Accepts connections until shutdown, then closes and joins them.
+fn accept_loop(inner: &Arc<Inner>, listener: &UnixListener) {
     let mut conn_handles = Vec::new();
     loop {
         let stream = match listener.accept() {
@@ -587,7 +554,7 @@ fn run_server(inner: &Arc<Inner>, listener: &UnixListener, workers: usize) {
         }));
     }
     // Exit path: drain (or kill) has already closed admission. Unblock
-    // any reader still parked on an idle client, then join everything.
+    // any reader still parked on an idle client, then join them.
     for (sink, stream) in inner.conns.lock().unwrap_or_else(|p| p.into_inner()).iter() {
         if inner.killed.load(Ordering::Acquire) {
             sink.cancel_outstanding();
@@ -596,16 +563,6 @@ fn run_server(inner: &Arc<Inner>, listener: &UnixListener, workers: usize) {
     }
     for h in conn_handles {
         let _ = h.join();
-    }
-    for h in worker_handles {
-        let _ = h.join();
-    }
-    // Graceful exits persist the warmed cache one last time.
-    if !inner.killed.load(Ordering::Acquire) {
-        final_snapshot(inner);
-    }
-    if let Some(path) = &inner.socket {
-        let _ = std::fs::remove_file(path);
     }
 }
 
@@ -667,85 +624,83 @@ fn maybe_rotate(inner: &Inner) {
     }
 }
 
-fn worker_loop(inner: &Inner, worker: usize) {
-    while let Some(ticket) = inner.admission.next() {
-        // The connection thread writes `accepted` before opening the
-        // gate, so per-request event order is guaranteed even though
-        // the queue handoff races the write.
-        ticket.gate.wait();
-        let queued = ticket.admitted.elapsed();
-        if inner.tel.is_enabled() {
-            inner.tel.record(
-                "serve/queued_us",
-                (queued.as_micros() as u64).max(1).next_power_of_two(),
-            );
-            inner
-                .tel
-                .observe("serve/queue_depth", inner.admission.depth() as f64);
-        }
-        ticket.sink.send(&Event::Started {
-            id: ticket.id.clone(),
-            worker: worker as u64,
-            queued_us: queued.as_micros() as u64,
-        });
-        let owner = inner.owner.fetch_add(1, Ordering::Relaxed);
-        let opts = ExecOptions {
-            prune: inner.cfg.prune,
-            telemetry: inner.tel.clone(),
-            cancel: Some(ticket.cancel.clone()),
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_job(&ticket.job, owner, worker, inner.cache.as_ref(), &opts)
-        }));
-        // Deregister before the terminal event goes out: a client that
-        // hangs up the instant it reads its result must not race into
-        // the disconnect-cancellation path as a phantom disconnect.
-        ticket.sink.complete(&ticket.id);
-        match outcome {
-            Ok(result) => {
-                match result.status {
-                    JobStatus::Completed => {
-                        inner.completed.fetch_add(1, Ordering::Relaxed);
-                        if inner.tel.is_enabled() {
-                            inner.tel.incr("serve/completed");
-                        }
-                    }
-                    JobStatus::TimedOut => {
-                        inner.timed_out.fetch_add(1, Ordering::Relaxed);
-                        if inner.tel.is_enabled() {
-                            inner.tel.incr("serve/timed_out");
-                        }
-                    }
-                }
-                if inner.tel.is_enabled() {
-                    inner.tel.record(
-                        "serve/request_wall_us",
-                        (result.wall.as_micros() as u64).max(1).next_power_of_two(),
-                    );
-                    inner.tel.record_span("serve/request", result.wall);
-                }
-                ticket.sink.send(&Event::done(&result));
-            }
-            Err(payload) => {
-                let detail = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("opaque panic payload")
-                    .to_string();
-                inner.failed.fetch_add(1, Ordering::Relaxed);
-                if inner.tel.is_enabled() {
-                    inner.tel.incr("serve/failed");
-                }
-                ticket.sink.send(&Event::Failed {
-                    id: ticket.id.clone(),
-                    detail: format!("panic: {detail}"),
-                });
-            }
-        }
-        inner.admission.finish();
-        maybe_rotate(inner);
+/// Runs one admitted request on `worker` and sends its terminal event.
+fn serve_one(inner: &Inner, worker: usize, ticket: Ticket) {
+    // The connection thread writes `accepted` before opening the
+    // gate, so per-request event order is guaranteed even though
+    // the queue handoff races the write.
+    ticket.gate.wait();
+    let queued = ticket.admitted.elapsed();
+    if inner.tel.is_enabled() {
+        inner.tel.record(
+            "serve/queued_us",
+            (queued.as_micros() as u64).max(1).next_power_of_two(),
+        );
+        inner
+            .tel
+            .observe("serve/queue_depth", inner.admission.depth() as f64);
     }
+    ticket.sink.send(&Event::Started {
+        id: ticket.id.clone(),
+        worker: worker as u64,
+        queued_us: queued.as_micros() as u64,
+    });
+    let owner = inner.owner.fetch_add(1, Ordering::Relaxed);
+    let opts = ExecOptions {
+        prune: inner.cfg.prune,
+        telemetry: inner.tel.clone(),
+        cancel: Some(ticket.cancel.clone()),
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        execute_job(&ticket.job, owner, worker, inner.cache.as_ref(), &opts)
+    }));
+    // Deregister before the terminal event goes out: a client that
+    // hangs up the instant it reads its result must not race into
+    // the disconnect-cancellation path as a phantom disconnect.
+    ticket.sink.complete(&ticket.id);
+    match outcome {
+        Ok(result) => {
+            match result.status {
+                JobStatus::Completed => {
+                    inner.completed.fetch_add(1, Ordering::Relaxed);
+                    if inner.tel.is_enabled() {
+                        inner.tel.incr("serve/completed");
+                    }
+                }
+                JobStatus::TimedOut => {
+                    inner.timed_out.fetch_add(1, Ordering::Relaxed);
+                    if inner.tel.is_enabled() {
+                        inner.tel.incr("serve/timed_out");
+                    }
+                }
+            }
+            if inner.tel.is_enabled() {
+                inner.tel.record(
+                    "serve/request_wall_us",
+                    (result.wall.as_micros() as u64).max(1).next_power_of_two(),
+                );
+                inner.tel.record_span("serve/request", result.wall);
+            }
+            ticket.sink.send(&Event::done(&result));
+        }
+        Err(payload) => {
+            let detail = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("opaque panic payload")
+                .to_string();
+            inner.failed.fetch_add(1, Ordering::Relaxed);
+            if inner.tel.is_enabled() {
+                inner.tel.incr("serve/failed");
+            }
+            ticket.sink.send(&Event::Failed {
+                id: ticket.id.clone(),
+                detail: format!("panic: {detail}"),
+            });
+        }
+    }
+    maybe_rotate(inner);
 }
 
 /// Serves one connection's read half. Generic over the reader so the
@@ -917,26 +872,19 @@ pub fn serve_stream(
     reader: impl BufRead,
     writer: Box<dyn Write + Send>,
 ) -> ServeSummary {
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.workers
-    };
-    let inner = Arc::new(build_inner(cfg, workers, None));
+    let workers = resolve_workers(cfg.workers);
+    let inner = build_inner(cfg, workers, None);
     inner.connections.fetch_add(1, Ordering::Relaxed);
-    let mut worker_handles = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let inner = Arc::clone(&inner);
-        worker_handles.push(std::thread::spawn(move || worker_loop(&inner, w)));
-    }
+    let inner = Arc::new(inner);
     let sink = Arc::new(Sink::new(writer));
-    connection_loop(&inner, reader, &sink);
-    // EOF without a shutdown op still drains gracefully.
-    inner.admission.drain();
-    inner.admission.await_drained();
-    for h in worker_handles {
-        let _ = h.join();
-    }
+    // EOF without a shutdown op still drains gracefully: `run_workers`
+    // closes admission once the session ends and joins the workers.
+    run_workers(
+        workers,
+        &inner.admission,
+        |w, ticket| serve_one(&inner, w, ticket),
+        || connection_loop(&inner, reader, &sink),
+    );
     final_snapshot(&inner);
     inner.summary()
 }

@@ -1,5 +1,5 @@
 //! Batch optimization of a whole corpus of loop nests: the `irlt-driver`
-//! work-stealing pool with per-job deadlines, cooperative cancellation,
+//! pool of workers with per-job deadlines, cooperative cancellation,
 //! and one cross-nest shared legality cache.
 //!
 //! ```text

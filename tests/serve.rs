@@ -577,3 +577,52 @@ fn backpressure_rejects_above_high_water_and_loses_no_accepted_request() {
     assert_eq!(summary.rejected_draining, 1, "{summary}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `stats` event's `cache` object and the `irlt-batch/v1`
+/// artifact's `cache` object carry the same counters, so one reader
+/// serves both.
+#[test]
+fn serve_stats_and_batch_artifact_share_cache_fields() {
+    fn keys(cache: Option<&Json>) -> Vec<String> {
+        let mut keys: Vec<String> = cache
+            .and_then(Json::as_object)
+            .expect("a cache object")
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect();
+        keys.sort();
+        keys
+    }
+    let jobs = demo_corpus(4);
+    let dir = scratch("stats-keys");
+    let socket = dir.join("s.sock");
+    let server = Server::spawn(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        &socket,
+    )
+    .unwrap();
+    let report = client::run_jobs(&socket, &jobs, &ClientOptions::default()).unwrap();
+    assert_eq!(report.completed(), 4);
+    let stats = client::stats(&socket).unwrap();
+    client::shutdown(&socket).unwrap();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let batch = run_batch(
+        &jobs,
+        &BatchConfig {
+            threads: 1,
+            ..BatchConfig::default()
+        },
+    )
+    .to_json();
+    let served = keys(stats.get("cache"));
+    assert_eq!(served, keys(batch.get("cache")));
+    assert!(
+        served.iter().any(|k| k == "interner_collisions"),
+        "{served:?}"
+    );
+}
